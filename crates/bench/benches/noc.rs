@@ -23,7 +23,7 @@ use neuromap_noc::config::NocConfig;
 use neuromap_noc::sim::oracle::CycleSim;
 use neuromap_noc::sim::NocSim;
 use neuromap_noc::topology::{HierTopology, Mesh2D, NocTree, Star, Topology};
-use neuromap_noc::traffic::SpikeFlow;
+use neuromap_noc::traffic::{FlowSet, SpikeFlow};
 
 /// Differential gate: both engines must digest-match on `w` before their
 /// timings are worth comparing. Returns the shared digest.
@@ -154,7 +154,7 @@ fn bench_tree_routing(c: &mut Criterion) {
     // reach each cluster through parallel columns, while the Steiner
     // attach rule rides one path into the cluster and fans out locally —
     // spread-out destinations would degenerate to the DOR union
-    let flows: Vec<SpikeFlow> = (0..200u32)
+    let flows: FlowSet = (0..200u32)
         .map(|i| SpikeFlow::multicast(i, i % 64, vec![48, 54, 55, 56, 62, 63], i / 40))
         .collect();
     let per_dest = NocConfig {
@@ -258,7 +258,7 @@ fn bench_load(c: &mut Criterion) {
 }
 
 fn bench_multicast(c: &mut Criterion) {
-    let flows: Vec<SpikeFlow> = (0..200u32)
+    let flows: FlowSet = (0..200u32)
         .map(|i| SpikeFlow::multicast(i, i % 16, vec![1, 3, 5, 7, 9, 11], i / 40))
         .collect();
     let mut group = c.benchmark_group("noc_multicast");

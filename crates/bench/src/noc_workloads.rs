@@ -6,17 +6,17 @@
 
 use neuromap_noc::config::NocConfig;
 use neuromap_noc::topology::{Mesh2D, Topology, Torus};
-use neuromap_noc::traffic::SpikeFlow;
+use neuromap_noc::traffic::{FlowSet, SpikeFlow};
 
 /// Unicast burst traffic: every crossbar fires every step.
-pub fn burst_traffic(crossbars: u32, spikes_per_step: u32, steps: u32) -> Vec<SpikeFlow> {
-    let mut flows = Vec::new();
+pub fn burst_traffic(crossbars: u32, spikes_per_step: u32, steps: u32) -> FlowSet {
+    let mut flows = FlowSet::new();
     for step in 0..steps {
         for k in 0..spikes_per_step {
             let src = k % crossbars;
             let dst = (k + 1 + step) % crossbars;
             if src != dst {
-                flows.push(SpikeFlow::unicast(k, src, dst, step));
+                flows.push_unicast(k, src, dst, step);
             }
         }
     }
@@ -28,8 +28,8 @@ pub fn burst_traffic(crossbars: u32, spikes_per_step: u32, steps: u32) -> Vec<Sp
 /// each multicasting to a few destination crossbars. The cycle-driven
 /// oracle pays a full router sweep for every cycle of every drain window;
 /// the event engine only touches the ports the packets actually want.
-pub fn sparse_paper_traffic(crossbars: u32, spikes_per_step: u32, steps: u32) -> Vec<SpikeFlow> {
-    let mut flows = Vec::new();
+pub fn sparse_paper_traffic(crossbars: u32, spikes_per_step: u32, steps: u32) -> FlowSet {
+    let mut flows = FlowSet::new();
     for step in 0..steps {
         for k in 0..spikes_per_step {
             let src = (step * 7 + k * 13) % crossbars;
@@ -38,7 +38,7 @@ pub fn sparse_paper_traffic(crossbars: u32, spikes_per_step: u32, steps: u32) ->
                 (src + 17 + k) % crossbars,
                 (src + 33) % crossbars,
             ];
-            flows.push(SpikeFlow::multicast(src * 100 + k, src, dsts, step));
+            flows.extend([SpikeFlow::multicast(src * 100 + k, src, dsts, step)]);
         }
     }
     flows
@@ -54,8 +54,8 @@ pub fn dense_multicast_traffic(
     spikes_per_step: u32,
     steps: u32,
     fanout: u32,
-) -> Vec<SpikeFlow> {
-    let mut flows = Vec::new();
+) -> FlowSet {
+    let mut flows = FlowSet::new();
     for step in 0..steps {
         for k in 0..spikes_per_step {
             let src = k % crossbars;
@@ -63,7 +63,7 @@ pub fn dense_multicast_traffic(
                 .map(|j| (src + j * 5 + step) % crossbars)
                 .filter(|&d| d != src)
                 .collect();
-            flows.push(SpikeFlow::multicast(k, src, dsts, step));
+            flows.extend([SpikeFlow::multicast(k, src, dsts, step)]);
         }
     }
     flows
@@ -75,7 +75,7 @@ pub struct NocWorkload {
     /// Benchmark id suffix (`engine/<name>` in `BENCH_noc.json`).
     pub name: &'static str,
     /// Spike traffic.
-    pub flows: Vec<SpikeFlow>,
+    pub flows: FlowSet,
     /// Topology factory (both engines get their own instance).
     pub topo: fn() -> Box<dyn Topology>,
     /// Simulator configuration.

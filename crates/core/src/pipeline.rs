@@ -44,7 +44,7 @@ use neuromap_noc::sim::{oracle::CycleSim, EngineKind, NocSim};
 use neuromap_noc::stats::{Delivery, NocStats};
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Star, Topology, Torus};
 use neuromap_noc::trace::TraceBuf;
-use neuromap_noc::traffic::SpikeFlow;
+use neuromap_noc::traffic::FlowSet;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -218,9 +218,6 @@ pub fn build_topology(arch: &Architecture) -> Box<dyn Topology> {
         InterconnectKind::Torus => Box::new(Torus::for_crossbars(c)),
         InterconnectKind::Star => Box::new(Star::new(c)),
         InterconnectKind::Hier { .. } => Box::new(build_hier(arch)),
-        // `InterconnectKind` is non-exhaustive; route future variants to the
-        // most common neuromorphic fabric
-        _ => Box::new(Mesh2D::for_crossbars(c)),
     }
 }
 
@@ -254,54 +251,61 @@ fn build_hier(arch: &Architecture) -> HierTopology {
 ///   synapse (paper Eq. 7);
 /// * [`TrafficMode::PerCrossbar`] — one flow per spike carrying the
 ///   deduplicated destination-crossbar set (AER; multicast-capable).
-pub fn build_flows(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> Vec<SpikeFlow> {
-    let mut flows = Vec::new();
+///
+/// The flows land in one [`FlowSet`] (columns plus a destination arena),
+/// sized up front from the spike counts: no allocation per flow.
+pub fn build_flows(graph: &SpikeGraph, mapping: &Mapping, mode: TrafficMode) -> FlowSet {
+    // each neuron's remote destinations (per synapse, or deduplicated per
+    // crossbar), concatenated; counted first so the set is sized exactly
+    let mut remote: Vec<u32> = Vec::new();
+    let mut bounds: Vec<(u32, usize, usize)> = Vec::new();
+    let mut dsts: Vec<u32> = Vec::new();
+    let (mut flows, mut dests) = (0usize, 0usize);
     for i in 0..graph.num_neurons() {
-        if graph.count(i) == 0 {
+        let spikes = graph.count(i) as usize;
+        if spikes == 0 {
             continue;
         }
         let home = mapping.crossbar_of(i);
-        match mode {
-            TrafficMode::PerSynapse => {
-                let remote: Vec<u32> = graph
-                    .targets(i)
-                    .iter()
-                    .map(|&j| mapping.crossbar_of(j))
-                    .filter(|&c| c != home)
-                    .collect();
-                if remote.is_empty() {
-                    continue;
-                }
-                for &t in graph.train(i).times() {
-                    for &dst in &remote {
-                        flows.push(SpikeFlow::unicast(i, home, dst, t));
+        dsts.clear();
+        dsts.extend(
+            graph
+                .targets(i)
+                .iter()
+                .map(|&j| mapping.crossbar_of(j))
+                .filter(|&c| c != home),
+        );
+        if mode == TrafficMode::PerCrossbar {
+            dsts.sort_unstable();
+            dsts.dedup();
+        }
+        if dsts.is_empty() {
+            continue;
+        }
+        bounds.push((i, remote.len(), dsts.len()));
+        remote.extend_from_slice(&dsts);
+        flows += match mode {
+            TrafficMode::PerSynapse => spikes * dsts.len(),
+            TrafficMode::PerCrossbar => spikes,
+        };
+        dests += spikes * dsts.len();
+    }
+    let mut set = FlowSet::with_capacity(flows, dests);
+    for (i, start, n) in bounds {
+        let home = mapping.crossbar_of(i);
+        let dsts = &remote[start..start + n];
+        for &t in graph.train(i).times() {
+            match mode {
+                TrafficMode::PerSynapse => {
+                    for &dst in dsts {
+                        set.push_unicast(i, home, dst, t);
                     }
                 }
-            }
-            TrafficMode::PerCrossbar => {
-                let mut dsts: Vec<u32> = graph
-                    .targets(i)
-                    .iter()
-                    .map(|&j| mapping.crossbar_of(j))
-                    .filter(|&c| c != home)
-                    .collect();
-                dsts.sort_unstable();
-                dsts.dedup();
-                if dsts.is_empty() {
-                    continue;
-                }
-                for &t in graph.train(i).times() {
-                    flows.push(SpikeFlow {
-                        source_neuron: i,
-                        src_crossbar: home,
-                        dst_crossbars: dsts.clone(),
-                        send_step: t,
-                    });
-                }
+                TrafficMode::PerCrossbar => set.push(i, home, dsts, t),
             }
         }
     }
-    flows
+    set
 }
 
 /// Counts the synaptic events served *inside* crossbars under a mapping:
@@ -389,7 +393,10 @@ impl MappingPipeline {
                 let dist = hier.distance_lut();
                 (Arc::new(hier), dist)
             }
-            _ => {
+            InterconnectKind::Mesh
+            | InterconnectKind::Tree { .. }
+            | InterconnectKind::Torus
+            | InterconnectKind::Star => {
                 let topo: Arc<dyn Topology> = Arc::from(build_topology(&config.arch));
                 let dist = DistanceLut::new(topo.as_ref());
                 (topo, dist)
@@ -540,7 +547,7 @@ impl MappingPipeline {
 
     /// **Stage 3 — packetize**: cut synaptic events → injection flows
     /// under the configured [`TrafficMode`].
-    pub fn packetize(&self, graph: &SpikeGraph, mapping: &Mapping) -> Vec<SpikeFlow> {
+    pub fn packetize(&self, graph: &SpikeGraph, mapping: &Mapping) -> FlowSet {
         build_flows(graph, mapping, self.config.traffic)
     }
 
@@ -553,7 +560,7 @@ impl MappingPipeline {
     /// [`CoreError::Noc`] for interconnect failures.
     pub fn simulate(
         &self,
-        flows: &[SpikeFlow],
+        flows: &FlowSet,
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>), CoreError> {
         let (stats, deliveries, _) = self.simulate_traced(flows, duration_steps)?;
@@ -571,7 +578,7 @@ impl MappingPipeline {
     /// [`CoreError::Noc`] for interconnect failures.
     pub fn simulate_traced(
         &self,
-        flows: &[SpikeFlow],
+        flows: &FlowSet,
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>, Option<TraceBuf>), CoreError> {
         // per-synapse flows are single-destination by construction;
@@ -587,7 +594,7 @@ impl MappingPipeline {
                 let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
                 (stats, deliveries, sim.take_trace())
             }
-            _ => {
+            EngineKind::EventDriven => {
                 let mut sim = NocSim::shared(Arc::clone(&self.topo), noc_cfg, energy);
                 let (stats, deliveries) = sim.run_with_duration(flows, duration_steps)?;
                 (stats, deliveries, sim.take_trace())
@@ -610,12 +617,11 @@ impl MappingPipeline {
     ///
     /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
     /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
-    pub fn hop_metrics(&self, flows: &[SpikeFlow]) -> (u64, u64) {
+    pub fn hop_metrics(&self, flows: &FlowSet) -> (u64, u64) {
         let trees = self.config.noc.multicast && self.config.noc.multicast_trees;
         let mut weighted = 0u64;
-        let mut unicast = 0u64;
-        for f in flows {
-            unicast += f.dst_crossbars.len() as u64;
+        let unicast = flows.dest_count() as u64;
+        for f in flows.iter() {
             if trees {
                 let src_router = self.topo.endpoint(f.src_crossbar);
                 let dest_routers: Vec<usize> = f
@@ -628,7 +634,7 @@ impl MappingPipeline {
                         .multicast_route(src_router, &dest_routers, self.config.noc.vc_count);
                 weighted += tree_forwards(&paths);
             } else {
-                for &dst in &f.dst_crossbars {
+                for &dst in f.dst_crossbars {
                     weighted += u64::from(self.dist.hops(f.src_crossbar, dst));
                 }
             }
@@ -966,7 +972,7 @@ mod tests {
         let m = Mapping::from_assignment(assign, 2).unwrap();
         let flows = build_flows(&g, &m, TrafficMode::PerCrossbar);
         assert_eq!(flows.len(), 80); // 8 neurons × 10 spikes
-        assert!(flows.iter().all(|f| f.dst_crossbars == vec![1]));
+        assert!(flows.iter().all(|f| f.dst_crossbars == [1]));
         // per-synapse: × 8 synapses per neuron
         let flows = build_flows(&g, &m, TrafficMode::PerSynapse);
         assert_eq!(flows.len(), 640);

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 /// NoC-mesh (TrueNorth, HiCANN)". The concrete routing/queueing behaviour
 /// lives in `neuromap-noc`; this descriptor selects which model is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
 pub enum InterconnectKind {
     /// 2-D mesh with XY dimension-order routing (TrueNorth/HiCANN class).
     /// Crossbars are placed row-major on a near-square grid.

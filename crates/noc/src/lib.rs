@@ -10,8 +10,8 @@
 //! 2. *SNN-related metrics* — spike **disorder count** and **inter-spike
 //!    interval (ISI) distortion** ([`stats::NocStats`]);
 //! 3. *multicast* — spike packets delivered to a selected subset of
-//!    crossbars ([`packet::Packet`] carries a destination set that is split
-//!    at routing branch points).
+//!    crossbars (a packet carries a destination set that is split at
+//!    routing branch points).
 //!
 //! Routers are input-buffered with configurable depth, per-output
 //! arbitration ([`router::Arbitration`]), link serialization by packet size
@@ -35,7 +35,7 @@
 //!
 //! // 4 crossbars on a 2x2 mesh; one spike from crossbar 0 to 3
 //! let topo = Mesh2D::for_crossbars(4);
-//! let flows = vec![SpikeFlow::unicast(/*neuron*/ 7, /*src*/ 0, /*dst*/ 3, /*step*/ 0)];
+//! let flows = SpikeFlow::unicast(/*neuron*/ 7, /*src*/ 0, /*dst*/ 3, /*step*/ 0).into();
 //! let mut sim = NocSim::new(Box::new(topo), NocConfig::default(), EnergyModel::default());
 //! let stats = sim.run(&flows).unwrap();
 //! assert_eq!(stats.delivered, 1);
@@ -47,6 +47,7 @@
 
 pub mod config;
 mod error;
+mod keys;
 pub mod packet;
 pub mod router;
 mod sched;

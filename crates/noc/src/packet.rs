@@ -1,5 +1,6 @@
 //! Spike packets carried by the interconnect.
 
+use crate::sim::SpikeHeader;
 use serde::{Deserialize, Serialize};
 
 /// A spike packet in flight: one AER event travelling toward one or more
@@ -8,6 +9,11 @@ use serde::{Deserialize, Serialize};
 /// With multicast enabled a packet starts with the full destination set of
 /// its spike; the router replicates it only at branch points, splitting the
 /// set — the Noxim++ multicast extension.
+///
+/// This owned form is the reference oracle's
+/// ([`crate::sim::oracle::CycleSim`]): it copies each scheduled packet into
+/// one at injection. The event engine keeps the same fields in a flat slab
+/// with every packet's destinations in one shared arena instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Monotonically increasing id of the originating spike event
@@ -45,33 +51,12 @@ impl Packet {
         }
     }
 
-    /// Splits off every destination matching `pred` into a new packet,
-    /// preserving relative order on both sides — a single-pass equivalent
-    /// of collecting the matches and calling [`Packet::split`].
-    ///
-    /// The dominant case in the simulators is "every destination matches"
-    /// (unicast, or a multicast with no branch here): that path moves the
-    /// existing vector instead of allocating.
-    pub fn take_dests_where(&mut self, pred: impl Fn(u32) -> bool) -> Packet {
-        let taken = if self.dests.iter().all(|&d| pred(d)) {
-            std::mem::take(&mut self.dests)
-        } else {
-            let mut taken = Vec::new();
-            self.dests.retain(|&d| {
-                if pred(d) {
-                    taken.push(d);
-                    false
-                } else {
-                    true
-                }
-            });
-            taken
-        };
-        Packet {
-            spike_id: self.spike_id,
+    /// The packet's header fields.
+    pub(crate) fn header(&self) -> SpikeHeader {
+        SpikeHeader {
+            spike_id: self.spike_id as u32,
             source_neuron: self.source_neuron,
             src_crossbar: self.src_crossbar,
-            dests: taken,
             send_step: self.send_step,
             inject_cycle: self.inject_cycle,
         }
@@ -109,28 +94,5 @@ mod tests {
         let q = p.split(&[1, 2]);
         assert!(p.dests.is_empty());
         assert_eq!(q.dests, vec![1, 2]);
-    }
-
-    #[test]
-    fn take_where_matches_filter_plus_split() {
-        // the predicate path must agree with the collect-then-split path
-        // (the oracle engine uses the latter, the event engine the former)
-        let dests = vec![4, 1, 7, 2, 9];
-        let pred = |d: u32| d % 2 == 1;
-        let mut a = packet(dests.clone());
-        let taken = a.take_dests_where(pred);
-        let mut b = packet(dests.clone());
-        let via: Vec<u32> = dests.iter().copied().filter(|&d| pred(d)).collect();
-        let split = b.split(&via);
-        assert_eq!(taken, split);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn take_where_none_leaves_packet_intact() {
-        let mut p = packet(vec![1, 2, 3]);
-        let q = p.take_dests_where(|_| false);
-        assert!(q.dests.is_empty());
-        assert_eq!(p.dests, vec![1, 2, 3]);
     }
 }

@@ -50,8 +50,9 @@ const NO_PAIR: u32 = u32::MAX;
 ///
 /// Built once per run by `sim::build_tree_table` (only when multicast
 /// *and* tree routing are enabled — in that mode spike ids are dense
-/// `0..schedule.len()`, each appearing exactly once) and consumed by both
-/// engines, which is what keeps them byte-identical under tree routing.
+/// `0..schedule.packets.len()`, each appearing exactly once) and
+/// consumed by both engines, which is what keeps them byte-identical
+/// under tree routing.
 /// Entries are keyed `(router << 32) | dest_crossbar` and sorted per
 /// spike, so a lookup is a binary search over that spike's slice.
 #[derive(Debug, Clone)]

@@ -74,13 +74,14 @@
 
 use crate::config::NocConfig;
 use crate::error::NocError;
+use crate::keys::{sort_keys, with_words, KeyLayout};
 use crate::packet::Packet;
 use crate::router::pick_vc;
 use crate::sched::{PortSched, TreeTable, PRE_SWEEP};
 use crate::stats::{Counters, Delivery, NocStats, SchedCounters, SimTrace, VcCounters};
 use crate::topology::{RouteLut, Topology};
 use crate::trace::{TraceBuf, TraceEvent};
-use crate::traffic::SpikeFlow;
+use crate::traffic::FlowSet;
 use neuromap_hw::energy::EnergyModel;
 use std::collections::VecDeque;
 
@@ -92,7 +93,6 @@ pub mod oracle;
 /// ([`EngineKind::EventDriven`]) against auditability
 /// ([`EngineKind::CycleOracle`], useful for cross-checking and debugging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
 pub enum EngineKind {
     /// The event-driven production engine ([`NocSim`]).
     #[default]
@@ -145,184 +145,310 @@ impl PartialOrd for Arrival {
     }
 }
 
-/// Rejects flows naming crossbars the topology does not serve.
-pub(crate) fn validate_flows(topo: &dyn Topology, flows: &[SpikeFlow]) -> Result<(), NocError> {
+/// The SNN duration [`NocSim::run`] assumes: one past the last send step
+/// (at least 1).
+pub(crate) fn inferred_duration(flows: &FlowSet) -> u32 {
+    flows.send_steps().iter().map(|&s| s + 1).max().unwrap_or(1)
+}
+
+/// Rejects flows naming crossbars the topology does not serve. The error
+/// names the first bad crossbar in flow order (each flow's destinations,
+/// then its source).
+pub(crate) fn validate_flows(topo: &dyn Topology, flows: &FlowSet) -> Result<(), NocError> {
     let nc = topo.num_crossbars();
-    for f in flows {
-        let all = f
-            .dst_crossbars
-            .iter()
-            .chain(std::iter::once(&f.src_crossbar));
-        for &c in all {
-            if c as usize >= nc {
-                return Err(NocError::UnknownCrossbar {
-                    crossbar: c,
-                    available: nc,
-                });
-            }
-        }
+    let bad = flows
+        .iter()
+        .flat_map(|f| {
+            f.dst_crossbars
+                .iter()
+                .copied()
+                .chain(std::iter::once(f.src_crossbar))
+        })
+        .find(|&c| c as usize >= nc);
+    match bad {
+        None => Ok(()),
+        Some(crossbar) => Err(NocError::UnknownCrossbar {
+            crossbar,
+            available: nc,
+        }),
     }
-    Ok(())
+}
+
+/// What a scheduled packet carries besides its destinations.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpikeHeader {
+    /// Position of the spike in canonical injection order (stable across
+    /// multicast splits; dense `0..spikes`).
+    pub(crate) spike_id: u32,
+    pub(crate) source_neuron: u32,
+    pub(crate) src_crossbar: u32,
+    pub(crate) send_step: u32,
+    /// Cycle at which the packet enters the network (after AER encoding).
+    pub(crate) inject_cycle: u64,
+}
+
+/// A scheduled packet: its header plus the range
+/// `start..start + len` of its remaining destinations in the
+/// [`Schedule`]'s shared arena. The range belongs to this packet alone,
+/// so stripping or splitting destinations compacts it in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArenaPacket {
+    pub(crate) head: SpikeHeader,
+    pub(crate) start: u32,
+    pub(crate) len: u32,
+}
+
+impl ArenaPacket {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// An injection schedule: packets in inject order, with every packet's
+/// destinations in one arena — no allocation per packet.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    pub(crate) packets: Vec<ArenaPacket>,
+    pub(crate) dests: Vec<u32>,
+}
+
+/// `len` as an arena index.
+///
+/// # Panics
+///
+/// Panics past 2³² entries.
+pub(crate) fn arena_index(len: usize) -> u32 {
+    u32::try_from(len).expect("destination arena holds < 2^32 entries")
+}
+
+/// Field positions of the canonical flow key.
+const FLOW_MULTI: usize = 4;
+const FLOW_INDEX: usize = 5;
+
+/// Indices of the flows that have destinations, in the canonical
+/// injection order of [`crate::traffic::canonical_cmp`]: send step,
+/// source crossbar, source neuron, destination set, then flow index.
+///
+/// The flow index is a stable tiebreak: flows tied on everything else
+/// are byte-equal and inject identically either way. A flow's first
+/// destination and a multi-destination flag sit in the packed key, which
+/// settles the destination-set order of every unicast flow: `[d]` sorts
+/// before `[d, ..]` and like `d` against any other set. Only runs of
+/// multi-destination flows equal in step, source, neuron and first
+/// destination need the full set comparison afterwards.
+fn canonical_order(flows: &FlowSet) -> Vec<u32> {
+    let max = |s: &[u32]| u64::from(s.iter().copied().max().unwrap_or(0));
+    let layout = KeyLayout::new([
+        max(flows.send_steps()),
+        max(flows.src_crossbars()),
+        max(flows.source_neurons()),
+        max(flows.all_dests()),
+        1,
+        flows.len() as u64,
+    ]);
+    with_words!(layout, W => canonical_order_w::<W>(flows, &layout))
+}
+
+fn canonical_order_w<const W: usize>(flows: &FlowSet, layout: &KeyLayout<6>) -> Vec<u32> {
+    let (steps, srcs, neurons) = (
+        flows.send_steps(),
+        flows.src_crossbars(),
+        flows.source_neurons(),
+    );
+    let mut keys: Vec<[u64; W]> = (0..flows.len())
+        .filter_map(|i| {
+            let dests = flows.dests(i);
+            Some(layout.pack([
+                u64::from(steps[i]),
+                u64::from(srcs[i]),
+                u64::from(neurons[i]),
+                u64::from(*dests.first()?),
+                u64::from(dests.len() > 1),
+                i as u64,
+            ]))
+        })
+        .collect();
+    sort_keys(&mut keys);
+    let mut order: Vec<u32> = keys
+        .iter()
+        .map(|k| layout.field(k, FLOW_INDEX) as u32)
+        .collect();
+    let mut s = 0;
+    while s < keys.len() {
+        if layout.field(&keys[s], FLOW_MULTI) == 0 {
+            s += 1;
+            continue;
+        }
+        let tie = layout.without(keys[s], FLOW_INDEX);
+        let mut e = s + 1;
+        while e < keys.len() && layout.without(keys[e], FLOW_INDEX) == tie {
+            e += 1;
+        }
+        // stable: the run is in flow-index order, so equal sets keep it
+        order[s..e].sort_by(|&a, &b| flows.dests(a as usize).cmp(flows.dests(b as usize)));
+        s = e;
+    }
+    order
 }
 
 /// Expands flows into an injection schedule: canonical AER-encoder order,
 /// one packet per crossbar per cycle. Shared by both engines so the
 /// schedules they simulate are one and the same.
-pub(crate) fn build_schedule(
-    topo: &dyn Topology,
-    config: &NocConfig,
-    flows: &[SpikeFlow],
-) -> Vec<Packet> {
-    // canonical order via packed key-index tuples: `(step, src)` and
-    // `(neuron, flow index)` each fuse into one u64, so the sort runs on
-    // plain integer pairs (no comparator closure). Flows equal in
-    // `(step, src, neuron)` still need the dest-set tiebreak to keep the
-    // order total — those runs are found and reordered in a second pass
-    // (they are rare: same neuron firing twice in one step).
-    let mut keys: Vec<(u64, u64)> = flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.dst_crossbars.is_empty())
-        .map(|(i, f)| {
-            (
-                (u64::from(f.send_step) << 32) | u64::from(f.src_crossbar),
-                (u64::from(f.source_neuron) << 32) | i as u64,
-            )
-        })
-        .collect();
-    keys.sort_unstable();
-    let flow_of = |key: &(u64, u64)| (key.1 & 0xffff_ffff) as usize;
-    let mut s = 0;
-    while s < keys.len() {
-        let mut e = s + 1;
-        while e < keys.len() && keys[e].0 == keys[s].0 && keys[e].1 >> 32 == keys[s].1 >> 32 {
-            e += 1;
-        }
-        if e - s > 1 {
-            // stable, so ties equal in dest set too keep their flow order
-            // (byte-equal flows — they inject identically either way)
-            keys[s..e].sort_by(|a, b| {
-                flows[flow_of(a)]
-                    .dst_crossbars
-                    .cmp(&flows[flow_of(b)].dst_crossbars)
-            });
-        }
-        s = e;
-    }
-
-    // canonical pass computes each packet's slot key without building the
-    // packet: `(inject cycle, src and neuron packed into one word,
-    // generation index)` — the generation is both the stable-order
-    // tiebreak and the index into a side table holding what
-    // materialization needs. Sorting 24-byte integer triples and
-    // constructing every packet once, in final order, replaces the old
-    // build-then-permute shuffle.
-    let n_slots: usize = if config.multicast {
-        keys.len()
+///
+/// Spikes take their canonical position ([`canonical_order`]) as spike
+/// id. Each crossbar's encoder emits one packet per cycle from the start
+/// of the spike's step window, so a packet's inject cycle is
+/// `step × cycles_per_step + rank`, its rank counting the packets its
+/// crossbar already emitted in that window (one per spike under
+/// multicast, one per destination otherwise). Packets are then ordered by
+/// `(inject cycle, source crossbar, source neuron, generation)`, the
+/// generation being the packet's creation index — a sort of one packed
+/// integer key per packet ([`crate::keys`]). Finally every packet is
+/// materialized once, in that order, with its destinations copied into
+/// the schedule's arena.
+///
+/// Cost: two sorts of packed keys (flows, then packets), plus a
+/// comparator sort of multi-destination flows tied on their first
+/// destination; no allocation per flow or packet.
+pub(crate) fn build_schedule(topo: &dyn Topology, config: &NocConfig, flows: &FlowSet) -> Schedule {
+    let order = canonical_order(flows);
+    let n_slots = if config.multicast {
+        order.len()
     } else {
-        keys.iter()
-            .map(|k| flows[flow_of(k)].dst_crossbars.len())
-            .sum()
+        flows.dest_count()
     };
-    let mut slots: Vec<(u64, u64, u64)> = Vec::with_capacity(n_slots);
-    // (spike id, flow index, dest index) per generation
+    let max = |s: &[u32]| u64::from(s.iter().copied().max().unwrap_or(0));
+    // an inject cycle is at most the last window's start plus one cycle
+    // per packet
+    let max_inject = max(flows.send_steps())
+        .saturating_mul(config.cycles_per_step)
+        .saturating_add(n_slots as u64);
+    let layout = KeyLayout::new([
+        max_inject,
+        max(flows.src_crossbars()),
+        max(flows.source_neurons()),
+        n_slots as u64,
+    ]);
+    with_words!(layout, W => {
+        schedule_w::<W>(topo.num_crossbars(), config, flows, &order, n_slots, &layout)
+    })
+}
+
+fn schedule_w<const W: usize>(
+    num_crossbars: usize,
+    config: &NocConfig,
+    flows: &FlowSet,
+    order: &[u32],
+    n_slots: usize,
+    layout: &KeyLayout<4>,
+) -> Schedule {
+    let mut slots: Vec<[u64; W]> = Vec::with_capacity(n_slots);
+    // (spike id, flow index, destination index) per generation
     let mut meta: Vec<(u32, u32, u32)> = Vec::with_capacity(n_slots);
     // per-crossbar rank within the current step window
-    let mut rank: Vec<u64> = vec![0; topo.num_crossbars()];
+    let mut rank: Vec<u64> = vec![0; num_crossbars];
     let mut current_step = u32::MAX;
-    for (spike_id, key) in keys.iter().enumerate() {
-        let step = (key.0 >> 32) as u32;
-        let src = key.0 as u32;
-        let neuron = (key.1 >> 32) as u32;
-        let fi = flow_of(key) as u32;
-        if step != current_step {
-            current_step = step;
+    for (spike_id, &fi) in order.iter().enumerate() {
+        let f = flows.get(fi as usize);
+        if f.send_step != current_step {
+            current_step = f.send_step;
             rank.iter_mut().for_each(|r| *r = 0);
         }
-        let base = u64::from(step) * config.cycles_per_step;
+        let base = u64::from(f.send_step) * config.cycles_per_step;
         let n_dests = if config.multicast {
             1
         } else {
-            flows[fi as usize].dst_crossbars.len()
+            f.dst_crossbars.len()
         };
         for di in 0..n_dests as u32 {
-            let r = &mut rank[src as usize];
-            slots.push((
+            let r = &mut rank[f.src_crossbar as usize];
+            slots.push(layout.pack([
                 base + *r,
-                (u64::from(src) << 32) | u64::from(neuron),
+                u64::from(f.src_crossbar),
+                u64::from(f.source_neuron),
                 meta.len() as u64,
-            ));
+            ]));
             meta.push((spike_id as u32, fi, di));
             *r += 1;
         }
     }
-    slots.sort_unstable();
-    slots
-        .into_iter()
-        .map(|(inject_cycle, src_neuron, gen)| {
-            let (spike_id, fi, di) = meta[gen as usize];
-            let f = &flows[fi as usize];
-            Packet {
-                spike_id: spike_id as u64,
-                source_neuron: src_neuron as u32,
-                src_crossbar: (src_neuron >> 32) as u32,
-                dests: if config.multicast {
-                    f.dst_crossbars.clone()
-                } else {
-                    vec![f.dst_crossbars[di as usize]]
-                },
+    sort_keys(&mut slots);
+
+    let mut packets = Vec::with_capacity(n_slots);
+    let mut dests = Vec::with_capacity(if config.multicast {
+        flows.dest_count()
+    } else {
+        n_slots
+    });
+    for key in &slots {
+        let (spike_id, fi, di) = meta[layout.field(key, 3) as usize];
+        let f = flows.get(fi as usize);
+        let start = arena_index(dests.len());
+        if config.multicast {
+            dests.extend_from_slice(f.dst_crossbars);
+        } else {
+            dests.push(f.dst_crossbars[di as usize]);
+        }
+        packets.push(ArenaPacket {
+            head: SpikeHeader {
+                spike_id,
+                source_neuron: layout.field(key, 2) as u32,
+                src_crossbar: layout.field(key, 1) as u32,
                 send_step: f.send_step,
-                inject_cycle,
-            }
-        })
-        .collect()
+                inject_cycle: layout.field(key, 0),
+            },
+            start,
+            len: arena_index(dests.len()) - start,
+        });
+    }
+    Schedule { packets, dests }
 }
 
-/// Delivers (and removes) every destination of `packet` hosted at `router`.
-/// With tracing on, each delivery also emits a [`TraceEvent::Delivered`].
+/// Delivers (and removes) every destination in `dests` hosted at
+/// `router`, compacting the rest to the front of the slice in their
+/// original order; returns how many remain. With tracing on, each
+/// delivery also emits a [`TraceEvent::Delivered`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn strip_local(
     hosted: &[u32],
     topo: &dyn Topology,
     router: usize,
-    packet: &mut Packet,
+    head: &SpikeHeader,
+    dests: &mut [u32],
     now: u64,
     deliveries: &mut Vec<Delivery>,
     mut events: Option<&mut TraceBuf>,
-) {
+) -> usize {
     debug_assert!(hosted.iter().all(|&k| topo.endpoint(k) == router));
-    if packet.dests.iter().all(|d| !hosted.contains(d)) {
-        return;
+    if dests.iter().all(|d| !hosted.contains(d)) {
+        return dests.len();
     }
-    let (source_neuron, src_crossbar, send_step, inject_cycle, spike_id) = (
-        packet.source_neuron,
-        packet.src_crossbar,
-        packet.send_step,
-        packet.inject_cycle,
-        packet.spike_id,
-    );
-    packet.dests.retain(|&d| {
+    let mut kept = 0;
+    for i in 0..dests.len() {
+        let d = dests[i];
         if hosted.contains(&d) {
             deliveries.push(Delivery::new(
-                source_neuron,
-                src_crossbar,
+                head.source_neuron,
+                head.src_crossbar,
                 d,
-                send_step,
-                inject_cycle,
+                head.send_step,
+                head.inject_cycle,
                 now,
             ));
             if let Some(t) = events.as_deref_mut() {
                 t.push(TraceEvent::Delivered {
                     cycle: now,
-                    spike_id,
+                    spike_id: u64::from(head.spike_id),
                     router: router as u32,
                     dst_crossbar: d,
                 });
             }
-            false
         } else {
-            true
+            dests[kept] = d;
+            kept += 1;
         }
-    });
+    }
+    kept
 }
 
 /// Builds the per-spike Steiner-tree routing table for a schedule, or
@@ -332,7 +458,7 @@ pub(crate) fn strip_local(
 /// to the pre-tree behavior.
 ///
 /// In multicast mode the schedule carries exactly one packet per spike
-/// with dense `spike_id`s (`0..schedule.len()`), so the table is indexed
+/// with dense `spike_id`s (`0..packets.len()`), so the table is indexed
 /// directly by spike id. Each destination's tree path is walked from the
 /// source router; every hop records `(router, dest) → port * vc_count + vc`
 /// with the port found by position in [`Topology::neighbors`] — tree hops
@@ -341,19 +467,20 @@ pub(crate) fn strip_local(
 pub(crate) fn build_tree_table(
     topo: &dyn Topology,
     config: &NocConfig,
-    schedule: &[Packet],
+    schedule: &Schedule,
 ) -> Option<TreeTable> {
     if !(config.multicast && config.multicast_trees) {
         return None;
     }
     let vcs = config.vc_count;
-    let mut per_spike: Vec<Vec<(u64, u16)>> = vec![Vec::new(); schedule.len()];
-    for p in schedule {
-        let src_router = topo.endpoint(p.src_crossbar);
-        let dest_routers: Vec<usize> = p.dests.iter().map(|&d| topo.endpoint(d)).collect();
+    let mut per_spike: Vec<Vec<(u64, u16)>> = vec![Vec::new(); schedule.packets.len()];
+    for p in &schedule.packets {
+        let dests = &schedule.dests[p.range()];
+        let src_router = topo.endpoint(p.head.src_crossbar);
+        let dest_routers: Vec<usize> = dests.iter().map(|&d| topo.endpoint(d)).collect();
         let paths = topo.multicast_route(src_router, &dest_routers, vcs);
-        let entries = &mut per_spike[p.spike_id as usize];
-        for (path, &d) in paths.iter().zip(p.dests.iter()) {
+        let entries = &mut per_spike[p.head.spike_id as usize];
+        for (path, &d) in paths.iter().zip(dests) {
             let mut cur = src_router;
             for &(next, vc) in path {
                 let port = topo
@@ -457,17 +584,16 @@ impl NocSim {
         self.trace.take()
     }
 
-    /// Runs the spike schedule to completion and returns aggregate
-    /// statistics. The SNN duration is inferred from the last send step.
+    /// Runs the flows to completion and returns aggregate statistics.
+    /// The SNN duration is inferred from the last send step.
     ///
     /// # Errors
     ///
     /// * [`NocError::InvalidConfig`] for invalid configurations.
     /// * [`NocError::UnknownCrossbar`] for flows naming absent crossbars.
     /// * [`NocError::CycleBudgetExhausted`] if traffic cannot drain.
-    pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
-        let duration = flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
-        self.run_with_duration(flows, duration)
+    pub fn run(&mut self, flows: &FlowSet) -> Result<NocStats, NocError> {
+        self.run_with_duration(flows, inferred_duration(flows))
             .map(|(stats, _)| stats)
     }
 
@@ -479,8 +605,37 @@ impl NocSim {
     /// Same as [`NocSim::run`].
     pub fn run_with_duration(
         &mut self,
-        flows: &[SpikeFlow],
+        flows: &FlowSet,
         duration_steps: u32,
+    ) -> Result<(NocStats, Vec<Delivery>), NocError> {
+        self.execute(flows, duration_steps, None)
+    }
+
+    /// Like [`NocSim::run_with_duration`], but also returning the
+    /// scheduler trace ([`SimTrace`]): the attended cycles, the
+    /// forward-progress cycles, and the [`SchedCounters`]. The liveness
+    /// and wake-bound properties in `tests/noc_properties.rs` compare
+    /// these against [`oracle::CycleSim::run_traced`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`NocSim::run`] (the trace is lost on error).
+    pub fn run_traced(
+        &mut self,
+        flows: &FlowSet,
+        duration_steps: u32,
+    ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
+        let mut trace = SimTrace::default();
+        let (stats, deliveries) = self.execute(flows, duration_steps, Some(&mut trace))?;
+        Ok((stats, deliveries, trace))
+    }
+
+    /// Validates, schedules, simulates and summarizes one run.
+    fn execute(
+        &mut self,
+        flows: &FlowSet,
+        duration_steps: u32,
+        mut trace: Option<&mut SimTrace>,
     ) -> Result<(NocStats, Vec<Delivery>), NocError> {
         self.config.validate()?;
         validate_flows(self.topo.as_ref(), flows)?;
@@ -488,8 +643,11 @@ impl NocSim {
         self.trace = None;
         let mut events = self.config.trace.then(|| TraceBuf::new(&self.config));
         let (deliveries, counters, per_vc, sched) =
-            self.simulate(schedule, None, events.as_mut())?;
+            self.simulate(schedule, trace.as_deref_mut(), events.as_mut())?;
         self.trace = events;
+        if let Some(t) = trace {
+            t.sched = sched;
+        }
         let mut stats = NocStats::from_deliveries(
             &deliveries,
             counters,
@@ -505,50 +663,11 @@ impl NocSim {
         Ok((stats, deliveries))
     }
 
-    /// Like [`NocSim::run_with_duration`], but also returning the
-    /// scheduler trace ([`SimTrace`]): the attended cycles, the
-    /// forward-progress cycles, and the [`SchedCounters`]. The liveness
-    /// and wake-bound properties in `tests/noc_properties.rs` compare
-    /// these against [`oracle::CycleSim::run_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NocSim::run`] (the trace is lost on error).
-    pub fn run_traced(
-        &mut self,
-        flows: &[SpikeFlow],
-        duration_steps: u32,
-    ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
-        self.config.validate()?;
-        validate_flows(self.topo.as_ref(), flows)?;
-        let schedule = build_schedule(self.topo.as_ref(), &self.config, flows);
-        self.trace = None;
-        let mut events = self.config.trace.then(|| TraceBuf::new(&self.config));
-        let mut trace = SimTrace::default();
-        let (deliveries, counters, per_vc, sched) =
-            self.simulate(schedule, Some(&mut trace), events.as_mut())?;
-        self.trace = events;
-        trace.sched = sched;
-        let mut stats = NocStats::from_deliveries(
-            &deliveries,
-            counters,
-            &self.energy,
-            self.config.flits_per_packet,
-            duration_steps,
-            self.config.cycles_per_step,
-        )
-        .with_per_vc(per_vc);
-        if self.config.sched_stats {
-            stats = stats.with_sched(sched);
-        }
-        Ok((stats, deliveries, trace))
-    }
-
     /// The event-driven main loop.
     #[allow(clippy::type_complexity)]
     fn simulate(
         &self,
-        schedule: Vec<Packet>,
+        schedule: Schedule,
         mut trace: Option<&mut SimTrace>,
         mut events: Option<&mut TraceBuf>,
     ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>, SchedCounters), NocError> {
@@ -624,18 +743,23 @@ impl NocSim {
         let lanes_of: Vec<u64> = (0..nr).map(|r| (ports[r].len() * vcs) as u64).collect();
         let mut active_lanes = 0u64;
 
-        // the schedule vector doubles as the packet slab: FIFOs and the
-        // arrival queue move u32 slab ids, and a forward that takes every
+        // the schedule doubles as the packet slab: FIFOs and the arrival
+        // queue move u32 slab ids, and a forward that takes every
         // remaining dest re-forwards the same entry with zero packet
-        // traffic (only multicast branch points append a new entry)
-        let mut slab: Vec<Packet> = schedule;
+        // traffic. Slab entries are plain headers with a destination
+        // range in `arena`; stripping delivered dests compacts a range in
+        // place, and only a multicast branch point appends — a new slab
+        // entry and the branch's dests at the arena's end
+        let Schedule {
+            packets: mut slab,
+            dests: mut arena,
+        } = schedule;
         // branch appends land past this bound — only the original schedule
         // entries are injection sources
         let num_injections = slab.len();
         let mut next_inject = 0usize;
         // every dest in the schedule becomes exactly one delivery
-        let mut deliveries: Vec<Delivery> =
-            Vec::with_capacity(slab.iter().map(|p| p.dests.len()).sum());
+        let mut deliveries: Vec<Delivery> = Vec::with_capacity(arena.len());
         let mut counters = Counters::default();
         // per-VC counters, aggregated over all routers; empty (and never
         // updated) in the single-VC case so the serialized statistics
@@ -671,7 +795,7 @@ impl NocSim {
             if queued_packets == 0 {
                 let mut jump = u64::MAX;
                 if next_inject < num_injections {
-                    jump = jump.min(slab[next_inject].inject_cycle);
+                    jump = jump.min(slab[next_inject].head.inject_cycle);
                 }
                 if let Some(a) = in_transit.front() {
                     jump = jump.min(a.cycle);
@@ -697,16 +821,17 @@ impl NocSim {
                 let a = in_transit.pop_front().expect("peeked");
                 counters.router_traversals += 1;
                 let packet = &mut slab[a.pid as usize];
-                strip_local(
+                packet.len = strip_local(
                     &hosted[a.router],
                     topo,
                     a.router,
-                    packet,
+                    &packet.head,
+                    &mut arena[packet.range()],
                     now,
                     &mut deliveries,
                     events.as_deref_mut(),
-                );
-                if packet.dests.is_empty() {
+                ) as u32;
+                if packet.len == 0 {
                     let state = &mut routers[a.router];
                     state.credits_used[a.ingress] -= 1;
                     if state.credits_used[a.ingress] == cfg.buffer_depth - 1 {
@@ -733,7 +858,7 @@ impl NocSim {
                     if let Some(t) = events.as_deref_mut() {
                         t.push(TraceEvent::Enqueued {
                             cycle: now,
-                            spike_id: packet.spike_id,
+                            spike_id: u64::from(packet.head.spike_id),
                             router: a.router as u32,
                             lane: a.ingress as u32,
                             occupancy: state.fifos[a.ingress].len() as u32,
@@ -750,9 +875,9 @@ impl NocSim {
                         sched.set_head(
                             a.router,
                             a.ingress,
-                            packet.spike_id,
-                            &packet.dests,
-                            packet.inject_cycle,
+                            u64::from(packet.head.spike_id),
+                            &arena[packet.range()],
+                            packet.head.inject_cycle,
                             PRE_SWEEP,
                         );
                     }
@@ -761,38 +886,39 @@ impl NocSim {
             }
 
             // 2. injections due now
-            while next_inject < num_injections && slab[next_inject].inject_cycle <= now {
+            while next_inject < num_injections && slab[next_inject].head.inject_cycle <= now {
                 let pid = next_inject as u32;
                 next_inject += 1;
                 counters.packets_injected += 1;
                 counters.router_traversals += 1;
                 let p = &mut slab[pid as usize];
-                let src_router = endpoint_of[p.src_crossbar as usize];
+                let src_router = endpoint_of[p.head.src_crossbar as usize];
                 if let Some(t) = events.as_deref_mut() {
                     t.push(TraceEvent::Injected {
                         cycle: now,
-                        spike_id: p.spike_id,
-                        source_neuron: p.source_neuron,
-                        src_crossbar: p.src_crossbar,
+                        spike_id: u64::from(p.head.spike_id),
+                        source_neuron: p.head.source_neuron,
+                        src_crossbar: p.head.src_crossbar,
                         router: src_router as u32,
                     });
                 }
-                strip_local(
+                p.len = strip_local(
                     &hosted[src_router],
                     topo,
                     src_router,
-                    p,
+                    &p.head,
+                    &mut arena[p.range()],
                     now,
                     &mut deliveries,
                     events.as_deref_mut(),
-                );
-                if !p.dests.is_empty() {
+                ) as u32;
+                if p.len > 0 {
                     let state = &mut routers[src_router];
                     state.fifos[0].push_back(pid);
                     if let Some(t) = events.as_deref_mut() {
                         t.push(TraceEvent::Enqueued {
                             cycle: now,
-                            spike_id: p.spike_id,
+                            spike_id: u64::from(p.head.spike_id),
                             router: src_router as u32,
                             lane: 0,
                             occupancy: state.fifos[0].len() as u32,
@@ -807,9 +933,9 @@ impl NocSim {
                         sched.set_head(
                             src_router,
                             0,
-                            p.spike_id,
-                            &p.dests,
-                            p.inject_cycle,
+                            u64::from(p.head.spike_id),
+                            &arena[p.range()],
+                            p.head.inject_cycle,
                             PRE_SWEEP,
                         );
                     }
@@ -897,9 +1023,9 @@ impl NocSim {
                 // non-branching multicast hop — the slab entry itself is
                 // forwarded: no packet is constructed or moved at all.
                 let head_pid = *state.fifos[fi].front().expect("candidate fifo has a head");
-                let head_spike = slab[head_pid as usize].spike_id;
-                let all = slab[head_pid as usize]
-                    .dests
+                let head = slab[head_pid as usize];
+                let head_spike = u64::from(head.head.spike_id);
+                let all = arena[head.range()]
                     .iter()
                     .all(|&d| sched.route_bit(head_spike, r, d) == bit);
                 // trace capture: occupancy after a pop, and whether the
@@ -933,30 +1059,46 @@ impl NocSim {
                         sched.set_head(
                             r,
                             fi,
-                            next_head.spike_id,
-                            &next_head.dests,
-                            next_head.inject_cycle,
+                            u64::from(next_head.head.spike_id),
+                            &arena[next_head.range()],
+                            next_head.head.inject_cycle,
                             pos,
                         );
                     }
                     head_pid
                 } else {
-                    // multicast split: the head stays, minus this branch
-                    let branch = slab[head_pid as usize]
-                        .take_dests_where(|d| sched.route_bit(head_spike, r, d) == bit);
+                    // multicast split: the head stays, minus this branch.
+                    // The branch's dests move to the arena's end, the
+                    // rest close up in place, both keeping their order
+                    let start = arena_index(arena.len());
+                    let mut kept = 0;
+                    for i in head.range() {
+                        let d = arena[i];
+                        if sched.route_bit(head_spike, r, d) == bit {
+                            arena.push(d);
+                        } else {
+                            arena[head.start as usize + kept] = d;
+                            kept += 1;
+                        }
+                    }
+                    slab[head_pid as usize].len = kept as u32;
                     sched.shrink_head(r, fi, bit);
-                    slab.push(branch);
+                    slab.push(ArenaPacket {
+                        head: head.head,
+                        start,
+                        len: arena_index(arena.len()) - start,
+                    });
                     (slab.len() - 1) as u32
                 };
                 if let Some(t) = events.as_deref_mut() {
                     let bp = &slab[branch_pid as usize];
                     t.push(TraceEvent::Forwarded {
                         cycle: now,
-                        spike_id: bp.spike_id,
+                        spike_id: u64::from(bp.head.spike_id),
                         router: r as u32,
                         port: o as u32,
                         vc: w as u32,
-                        dests: bp.dests.len() as u32,
+                        dests: bp.len,
                     });
                     if let Some(occupancy) = dequeued_occ {
                         t.push(TraceEvent::Dequeued {
@@ -1015,7 +1157,7 @@ impl NocSim {
             }
             let mut next = u64::MAX;
             if next_inject < num_injections {
-                next = next.min(slab[next_inject].inject_cycle);
+                next = next.min(slab[next_inject].head.inject_cycle);
             }
             if let Some(a) = in_transit.front() {
                 next = next.min(a.cycle);
@@ -1051,15 +1193,46 @@ mod tests {
     use super::*;
     use crate::router::Arbitration;
     use crate::topology::{Mesh2D, NocTree, PointToPoint, Star, Torus};
+    use crate::traffic::SpikeFlow;
 
     fn sim(topo: Box<dyn Topology>) -> NocSim {
         NocSim::new(topo, NocConfig::default(), EnergyModel::default())
     }
 
     #[test]
+    fn canonical_order_matches_the_owned_comparator() {
+        // ties on (step, source, neuron) everywhere, duplicate and
+        // shared-first destinations, empty destination lists, and enough
+        // flows for the bucketed key sort
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m) as u32
+        };
+        let owned: Vec<SpikeFlow> = (0..70_000)
+            .map(|_| SpikeFlow {
+                source_neuron: next(3),
+                src_crossbar: next(4),
+                send_step: next(40),
+                dst_crossbars: (0..next(4)).map(|_| next(5)).collect(),
+            })
+            .collect();
+        let order = canonical_order(&FlowSet::from(owned.clone()));
+        let mut expect: Vec<usize> = (0..owned.len())
+            .filter(|&i| !owned[i].dst_crossbars.is_empty())
+            .collect();
+        expect
+            .sort_by(|&a, &b| crate::traffic::canonical_cmp(&owned[a], &owned[b]).then(a.cmp(&b)));
+        let expect: Vec<u32> = expect.into_iter().map(|i| i as u32).collect();
+        assert_eq!(order, expect);
+    }
+
+    #[test]
     fn single_packet_mesh() {
         let mut s = sim(Box::new(Mesh2D::for_crossbars(4)));
-        let flows = vec![SpikeFlow::unicast(1, 0, 3, 0)];
+        let flows = FlowSet::from(SpikeFlow::unicast(1, 0, 3, 0));
         let stats = s.run(&flows).unwrap();
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.counters.packets_injected, 1);
@@ -1076,10 +1249,10 @@ mod tests {
             Box::new(Star::new(8)),
             Box::new(PointToPoint::new(8)),
         ];
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..5u32 {
             for src in 0..8u32 {
-                flows.push(SpikeFlow::unicast(src * 100, src, (src + 3) % 8, step));
+                flows.push_unicast(src * 100, src, (src + 3) % 8, step);
             }
         }
         for topo in topos {
@@ -1092,7 +1265,7 @@ mod tests {
 
     #[test]
     fn multicast_injects_fewer_packets_than_unicast() {
-        let flows = vec![SpikeFlow::multicast(0, 0, vec![1, 2, 3], 0); 10];
+        let flows = FlowSet::from(vec![SpikeFlow::multicast(0, 0, vec![1, 2, 3], 0); 10]);
         let run = |multicast: bool| {
             let cfg = NocConfig {
                 multicast,
@@ -1114,10 +1287,10 @@ mod tests {
     #[test]
     fn congestion_raises_latency() {
         // many sources all talking to crossbar 0 in the same step
-        let burst: Vec<SpikeFlow> = (0..64)
+        let burst: FlowSet = (0..64)
             .map(|i| SpikeFlow::unicast(i, 1 + (i % 7), 0, 0))
             .collect();
-        let single = vec![SpikeFlow::unicast(0, 1, 0, 0)];
+        let single = FlowSet::from(SpikeFlow::unicast(0, 1, 0, 0));
         let mut s = sim(Box::new(Mesh2D::for_crossbars(8)));
         let lat_burst = s.run(&burst).unwrap().max_latency_cycles;
         let mut s = sim(Box::new(Mesh2D::for_crossbars(8)));
@@ -1130,7 +1303,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let flows: Vec<SpikeFlow> = (0..50)
+        let flows: FlowSet = (0..50)
             .map(|i| SpikeFlow::unicast(i, i % 4, (i + 1) % 4, i / 10))
             .collect();
         let run = || {
@@ -1143,7 +1316,7 @@ mod tests {
     #[test]
     fn unknown_crossbar_rejected() {
         let mut s = sim(Box::new(Star::new(2)));
-        let err = s.run(&[SpikeFlow::unicast(0, 0, 5, 0)]).unwrap_err();
+        let err = s.run(&SpikeFlow::unicast(0, 0, 5, 0).into()).unwrap_err();
         assert!(matches!(err, NocError::UnknownCrossbar { crossbar: 5, .. }));
     }
 
@@ -1152,7 +1325,7 @@ mod tests {
         // a unicast flow whose destination equals its source is delivered
         // at injection with zero latency (degenerate but legal input)
         let mut s = sim(Box::new(Star::new(3)));
-        let stats = s.run(&[SpikeFlow::unicast(0, 1, 1, 0)]).unwrap();
+        let stats = s.run(&SpikeFlow::unicast(0, 1, 1, 0).into()).unwrap();
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.max_latency_cycles, 0);
     }
@@ -1160,7 +1333,7 @@ mod tests {
     #[test]
     fn empty_flow_list() {
         let mut s = sim(Box::new(Mesh2D::for_crossbars(4)));
-        let stats = s.run(&[]).unwrap();
+        let stats = s.run(&FlowSet::new()).unwrap();
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.avg_latency_cycles, 0.0);
     }
@@ -1169,7 +1342,7 @@ mod tests {
     fn serialization_spreads_same_step_spikes() {
         // 10 spikes from the same crossbar in one step are AER-serialized:
         // inject cycles are consecutive
-        let flows: Vec<SpikeFlow> = (0..10).map(|i| SpikeFlow::unicast(i, 0, 1, 0)).collect();
+        let flows: FlowSet = (0..10).map(|i| SpikeFlow::unicast(i, 0, 1, 0)).collect();
         let mut s = sim(Box::new(PointToPoint::new(2)));
         let (_, deliveries) = s.run_with_duration(&flows, 1).unwrap();
         let mut injects: Vec<u64> = deliveries.iter().map(|d| d.inject_cycle).collect();
@@ -1186,7 +1359,7 @@ mod tests {
             buffer_depth: 1,
             ..NocConfig::default()
         };
-        let flows: Vec<SpikeFlow> = (0..200)
+        let flows: FlowSet = (0..200)
             .map(|i| SpikeFlow::unicast(i, i % 4, ((i % 4) + 4) % 8, 0))
             .collect();
         let mut s = NocSim::new(Box::new(NocTree::new(8, 2)), cfg, EnergyModel::default());
@@ -1197,11 +1370,11 @@ mod tests {
     #[test]
     fn oldest_first_reduces_disorder() {
         // cross traffic from many crossbars to one destination
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..20u32 {
             for src in 1..9u32 {
                 for k in 0..3u32 {
-                    flows.push(SpikeFlow::unicast(src * 10 + k, src, 0, step));
+                    flows.push_unicast(src * 10 + k, src, 0, step);
                 }
             }
         }
@@ -1228,9 +1401,9 @@ mod tests {
     #[test]
     fn latency_monotone_in_hops_without_congestion() {
         let mut s = sim(Box::new(Mesh2D::grid(4, 1, 4)));
-        let near = s.run(&[SpikeFlow::unicast(0, 0, 1, 0)]).unwrap();
+        let near = s.run(&SpikeFlow::unicast(0, 0, 1, 0).into()).unwrap();
         let mut s = sim(Box::new(Mesh2D::grid(4, 1, 4)));
-        let far = s.run(&[SpikeFlow::unicast(0, 0, 3, 0)]).unwrap();
+        let far = s.run(&SpikeFlow::unicast(0, 0, 3, 0).into()).unwrap();
         assert!(far.max_latency_cycles > near.max_latency_cycles);
     }
 
@@ -1241,10 +1414,10 @@ mod tests {
         // round-robin no input FIFO may starve — within any window of
         // deliveries, every source keeps making progress.
         let spikes_per_src = 40u32;
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..spikes_per_src {
             for src in 1..5u32 {
-                flows.push(SpikeFlow::unicast(src * 1000 + step, src, 0, step));
+                flows.push_unicast(src * 1000 + step, src, 0, step);
             }
         }
         let mut s = NocSim::new(
@@ -1274,15 +1447,15 @@ mod tests {
         // counters must be populated, and the dateline assignment must
         // actually route packets over both VCs (the cross-crate corpus
         // in tests/noc_properties.rs is the full campaign)
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..6u32 {
             for src in 0..16u32 {
-                flows.push(SpikeFlow::multicast(
+                flows.extend([SpikeFlow::multicast(
                     src * 17 + step,
                     src,
                     vec![(src + 2) % 16, (src + 9) % 16],
                     step,
-                ));
+                )]);
             }
         }
         let cfg = NocConfig {
@@ -1323,7 +1496,7 @@ mod tests {
 
     #[test]
     fn sched_counters_attach_only_when_enabled() {
-        let flows: Vec<SpikeFlow> = (0..40)
+        let flows: FlowSet = (0..40)
             .map(|i| SpikeFlow::unicast(i, i % 4, (i + 2) % 8, i / 8))
             .collect();
         let mut s = sim(Box::new(Mesh2D::for_crossbars(8)));
@@ -1357,7 +1530,7 @@ mod tests {
         // must collapse that to at most one queue entry per pair, so the
         // peak queue sizes stay bounded by the pair count however long
         // the saturated drain runs
-        let flows: Vec<SpikeFlow> = (0..600)
+        let flows: FlowSet = (0..600)
             .map(|i| SpikeFlow::unicast(i, 1 + (i % 15), 0, 0))
             .collect();
         let mut s = sim(Box::new(Mesh2D::for_crossbars(16)));
@@ -1381,15 +1554,15 @@ mod tests {
 
     #[test]
     fn traces_agree_between_engines() {
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..5u32 {
             for src in 0..8u32 {
-                flows.push(SpikeFlow::multicast(
+                flows.extend([SpikeFlow::multicast(
                     src * 13 + step,
                     src,
                     vec![(src + 1) % 8, (src + 4) % 8],
                     step,
-                ));
+                )]);
             }
         }
         let cfg = NocConfig {
@@ -1416,7 +1589,7 @@ mod tests {
     #[test]
     fn single_vc_config_produces_no_per_vc_counters() {
         let mut s = sim(Box::new(Mesh2D::for_crossbars(4)));
-        let stats = s.run(&[SpikeFlow::unicast(1, 0, 3, 0)]).unwrap();
+        let stats = s.run(&SpikeFlow::unicast(1, 0, 3, 0).into()).unwrap();
         assert!(stats.per_vc.is_empty());
     }
 
@@ -1428,7 +1601,7 @@ mod tests {
             max_cycles: 40,
             ..NocConfig::default()
         };
-        let flows: Vec<SpikeFlow> = (0..500)
+        let flows: FlowSet = (0..500)
             .map(|i| SpikeFlow::unicast(i, 1 + (i % 7), 0, 0))
             .collect();
         let mut ev = NocSim::new(
@@ -1459,7 +1632,7 @@ mod tests {
             cycles_per_step: 1024,
             ..NocConfig::default()
         };
-        let flows = vec![SpikeFlow::unicast(0, 0, 3, 5)]; // injects at cycle 5120
+        let flows = FlowSet::from(SpikeFlow::unicast(0, 0, 3, 5)); // injects at cycle 5120
         let mut ev = NocSim::new(
             Box::new(Mesh2D::for_crossbars(4)),
             cfg,
@@ -1477,15 +1650,15 @@ mod tests {
     fn event_engine_matches_oracle_smoke() {
         // the cross-crate differential proptest corpus is in
         // tests/noc_properties.rs; this is the in-crate smoke version
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..10u32 {
             for src in 0..8u32 {
-                flows.push(SpikeFlow::multicast(
+                flows.extend([SpikeFlow::multicast(
                     src * 31 + step,
                     src,
                     vec![(src + 1) % 8, (src + 3) % 8, (src + 5) % 8],
                     step,
-                ));
+                )]);
             }
         }
         let cfg = NocConfig {
@@ -1507,15 +1680,15 @@ mod tests {
 
     #[test]
     fn event_trace_off_by_default_and_byte_identical_when_on() {
-        let mut flows = Vec::new();
+        let mut flows = FlowSet::new();
         for step in 0..6u32 {
             for src in 0..8u32 {
-                flows.push(SpikeFlow::multicast(
+                flows.extend([SpikeFlow::multicast(
                     src * 19 + step,
                     src,
                     vec![(src + 1) % 8, (src + 5) % 8],
                     step,
-                ));
+                )]);
             }
         }
         // off (the default): no trace is retained, stats digest unchanged

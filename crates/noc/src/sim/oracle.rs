@@ -15,7 +15,9 @@
 //! its value is that it stays the simple, obviously-cycle-accurate
 //! formulation.
 
-use super::{build_schedule, lane, strip_local, validate_flows, Arrival};
+use super::{
+    build_schedule, inferred_duration, lane, strip_local, validate_flows, Arrival, Schedule,
+};
 use crate::config::NocConfig;
 use crate::error::NocError;
 use crate::packet::Packet;
@@ -23,7 +25,7 @@ use crate::router::pick_vc;
 use crate::stats::{Counters, Delivery, NocStats, SimTrace, VcCounters};
 use crate::topology::Topology;
 use crate::trace::{TraceBuf, TraceEvent};
-use crate::traffic::SpikeFlow;
+use crate::traffic::FlowSet;
 use neuromap_hw::energy::EnergyModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -103,15 +105,14 @@ impl CycleSim {
         self.trace.take()
     }
 
-    /// Runs the spike schedule to completion and returns aggregate
-    /// statistics. The SNN duration is inferred from the last send step.
+    /// Runs the flows to completion and returns aggregate statistics.
+    /// The SNN duration is inferred from the last send step.
     ///
     /// # Errors
     ///
     /// Same as [`super::NocSim::run`].
-    pub fn run(&mut self, flows: &[SpikeFlow]) -> Result<NocStats, NocError> {
-        let duration = flows.iter().map(|f| f.send_step + 1).max().unwrap_or(1);
-        self.run_with_duration(flows, duration)
+    pub fn run(&mut self, flows: &FlowSet) -> Result<NocStats, NocError> {
+        self.run_with_duration(flows, inferred_duration(flows))
             .map(|(stats, _)| stats)
     }
 
@@ -124,26 +125,10 @@ impl CycleSim {
     /// Same as [`super::NocSim::run`].
     pub fn run_with_duration(
         &mut self,
-        flows: &[SpikeFlow],
+        flows: &FlowSet,
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>), NocError> {
-        self.config.validate()?;
-        validate_flows(self.topo.as_ref(), flows)?;
-        let schedule = build_schedule(self.topo.as_ref(), &self.config, flows);
-        self.trace = None;
-        let mut events = self.config.trace.then(|| TraceBuf::new(&self.config));
-        let (deliveries, counters, per_vc) = self.simulate(schedule, None, events.as_mut())?;
-        self.trace = events;
-        let stats = NocStats::from_deliveries(
-            &deliveries,
-            counters,
-            &self.energy,
-            self.config.flits_per_packet,
-            duration_steps,
-            self.config.cycles_per_step,
-        )
-        .with_per_vc(per_vc);
-        Ok((stats, deliveries))
+        self.execute(flows, duration_steps, None)
     }
 
     /// Like [`CycleSim::run_with_duration`], but also returning a
@@ -158,17 +143,28 @@ impl CycleSim {
     /// Same as [`super::NocSim::run`].
     pub fn run_traced(
         &mut self,
-        flows: &[SpikeFlow],
+        flows: &FlowSet,
         duration_steps: u32,
     ) -> Result<(NocStats, Vec<Delivery>, SimTrace), NocError> {
+        let mut trace = SimTrace::default();
+        let (stats, deliveries) =
+            self.execute(flows, duration_steps, Some(&mut trace.progress_cycles))?;
+        Ok((stats, deliveries, trace))
+    }
+
+    /// Validates, schedules, simulates and summarizes one run.
+    fn execute(
+        &mut self,
+        flows: &FlowSet,
+        duration_steps: u32,
+        progress: Option<&mut Vec<u64>>,
+    ) -> Result<(NocStats, Vec<Delivery>), NocError> {
         self.config.validate()?;
         validate_flows(self.topo.as_ref(), flows)?;
         let schedule = build_schedule(self.topo.as_ref(), &self.config, flows);
         self.trace = None;
         let mut events = self.config.trace.then(|| TraceBuf::new(&self.config));
-        let mut trace = SimTrace::default();
-        let (deliveries, counters, per_vc) =
-            self.simulate(schedule, Some(&mut trace.progress_cycles), events.as_mut())?;
+        let (deliveries, counters, per_vc) = self.simulate(schedule, progress, events.as_mut())?;
         self.trace = events;
         let stats = NocStats::from_deliveries(
             &deliveries,
@@ -179,7 +175,7 @@ impl CycleSim {
             self.config.cycles_per_step,
         )
         .with_per_vc(per_vc);
-        Ok((stats, deliveries, trace))
+        Ok((stats, deliveries))
     }
 
     /// The cycle-by-cycle main loop. `progress`, when given, collects the
@@ -189,7 +185,7 @@ impl CycleSim {
     #[allow(clippy::type_complexity)]
     fn simulate(
         &self,
-        schedule: Vec<Packet>,
+        schedule: Schedule,
         mut progress: Option<&mut Vec<u64>>,
         mut events: Option<&mut TraceBuf>,
     ) -> Result<(Vec<Delivery>, Counters, Vec<VcCounters>), NocError> {
@@ -239,7 +235,7 @@ impl CycleSim {
         let flits = cfg.flits_per_packet;
         let hop_latency = cfg.hop_latency();
 
-        let total = schedule.len();
+        let total = schedule.packets.len();
         while next_inject < total || queued_packets > 0 || !in_transit.is_empty() {
             if now > cfg.max_cycles {
                 return Err(NocError::CycleBudgetExhausted {
@@ -252,7 +248,7 @@ impl CycleSim {
             if queued_packets == 0 {
                 let mut jump = u64::MAX;
                 if next_inject < total {
-                    jump = jump.min(schedule[next_inject].inject_cycle);
+                    jump = jump.min(schedule.packets[next_inject].head.inject_cycle);
                 }
                 if let Some(Reverse(a)) = in_transit.peek() {
                     jump = jump.min(a.cycle);
@@ -269,15 +265,17 @@ impl CycleSim {
                 }
                 let Reverse(mut a) = in_transit.pop().expect("peeked");
                 counters.router_traversals += 1;
-                strip_local(
+                let kept = strip_local(
                     &hosted[a.router],
                     topo,
                     a.router,
-                    &mut a.packet,
+                    &a.packet.header(),
+                    &mut a.packet.dests,
                     now,
                     &mut deliveries,
                     events.as_deref_mut(),
                 );
+                a.packet.dests.truncate(kept);
                 if a.packet.dests.is_empty() {
                     routers[a.router].credits_used[a.ingress] -= 1;
                     if let Some(t) = events.as_deref_mut() {
@@ -317,8 +315,18 @@ impl CycleSim {
             }
 
             // 2. injections due now
-            while next_inject < total && schedule[next_inject].inject_cycle <= now {
-                let mut p = schedule[next_inject].clone();
+            while next_inject < total && schedule.packets[next_inject].head.inject_cycle <= now {
+                // the oracle keeps its own packet copy with an owned
+                // destination list, like the original engine
+                let sp = schedule.packets[next_inject];
+                let mut p = Packet {
+                    spike_id: u64::from(sp.head.spike_id),
+                    source_neuron: sp.head.source_neuron,
+                    src_crossbar: sp.head.src_crossbar,
+                    dests: schedule.dests[sp.range()].to_vec(),
+                    send_step: sp.head.send_step,
+                    inject_cycle: sp.head.inject_cycle,
+                };
                 next_inject += 1;
                 counters.packets_injected += 1;
                 counters.router_traversals += 1;
@@ -332,15 +340,17 @@ impl CycleSim {
                         router: src_router as u32,
                     });
                 }
-                strip_local(
+                let kept = strip_local(
                     &hosted[src_router],
                     topo,
                     src_router,
-                    &mut p,
+                    &p.header(),
+                    &mut p.dests,
                     now,
                     &mut deliveries,
                     events.as_deref_mut(),
                 );
+                p.dests.truncate(kept);
                 if !p.dests.is_empty() {
                     let spike_id = p.spike_id;
                     routers[src_router].fifos[0].push_back(p);
@@ -538,6 +548,7 @@ impl CycleSim {
 mod tests {
     use super::*;
     use crate::topology::Mesh2D;
+    use crate::traffic::SpikeFlow;
 
     #[test]
     fn oracle_single_packet_timing() {
@@ -546,7 +557,7 @@ mod tests {
             NocConfig::default(),
             EnergyModel::default(),
         );
-        let stats = s.run(&[SpikeFlow::unicast(1, 0, 3, 0)]).unwrap();
+        let stats = s.run(&SpikeFlow::unicast(1, 0, 3, 0).into()).unwrap();
         assert_eq!(stats.delivered, 1);
         // 2 hops × (router_delay 1 + flits 2 − 1) = 4 cycles minimum
         assert_eq!(stats.max_latency_cycles, 4);
@@ -554,7 +565,7 @@ mod tests {
 
     #[test]
     fn oracle_conserves_traffic() {
-        let flows: Vec<SpikeFlow> = (0..100)
+        let flows: FlowSet = (0..100)
             .map(|i| SpikeFlow::unicast(i, i % 4, (i + 1) % 4, i / 25))
             .collect();
         let mut s = CycleSim::new(

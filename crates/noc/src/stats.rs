@@ -6,6 +6,7 @@ use neuromap_hw::energy::EnergyModel;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NocError;
+use crate::keys::{sort_keys, with_words, KeyLayout};
 
 /// One completed delivery: a spike that reached a destination crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -205,6 +206,12 @@ impl NocStats {
     /// `duration_steps` is the SNN duration in timesteps; with
     /// `cycles_per_step` it fixes the wall-clock the throughput is
     /// normalized by (1 step = 1 ms).
+    ///
+    /// Cost, for `n` deliveries: one pass for the latency sum, maximum
+    /// and drain time; two `select_nth_unstable` calls for the
+    /// percentiles; one sort-free pass for the disorder fraction
+    /// ([`disorder_fraction`]); and one sort of packed integer keys for
+    /// the ISI distortion ([`isi_distortion`]).
     pub fn from_deliveries(
         deliveries: &[Delivery],
         counters: Counters,
@@ -214,22 +221,27 @@ impl NocStats {
         cycles_per_step: u64,
     ) -> Self {
         let delivered = deliveries.len() as u64;
-        let total_cycles = deliveries
+        // one pass feeds the drain time, the latency sum and maximum, and
+        // the latency buffer the percentiles select from
+        let mut total_cycles = 0u64;
+        let mut max_latency = 0u64;
+        let mut latency_sum = 0u64;
+        let mut lat: Vec<u64> = deliveries
             .iter()
-            .map(|d| d.deliver_cycle)
-            .max()
-            .unwrap_or(0);
-        // one latency pass + one sort feed avg, max and both percentiles
-        // (summing before the sort — u64 addition is order-independent)
-        let mut lat: Vec<u64> = deliveries.iter().map(|d| d.latency()).collect();
+            .map(|d| {
+                let l = d.latency();
+                total_cycles = total_cycles.max(d.deliver_cycle);
+                max_latency = max_latency.max(l);
+                latency_sum += l;
+                l
+            })
+            .collect();
         let avg_latency = if delivered == 0 {
             0.0
         } else {
-            lat.iter().sum::<u64>() as f64 / delivered as f64
+            latency_sum as f64 / delivered as f64
         };
-        lat.sort_unstable();
-        let max_latency = lat.last().copied().unwrap_or(0);
-        let (p50, p99) = percentiles_of_sorted(&lat);
+        let (p50, p99) = select_percentiles(&mut lat);
 
         let duration_ms = duration_steps.max(1) as f64;
         let throughput = delivered as f64 / duration_ms;
@@ -329,20 +341,26 @@ impl EnergyExt for EnergyModel {
 /// Latency percentiles `(p50, p99)` of a delivery log (nearest-rank).
 pub fn latency_percentiles(deliveries: &[Delivery]) -> (u64, u64) {
     let mut lat: Vec<u64> = deliveries.iter().map(|d| d.latency()).collect();
-    lat.sort_unstable();
-    percentiles_of_sorted(&lat)
+    select_percentiles(&mut lat)
 }
 
-/// Nearest-rank `(p50, p99)` of an already-sorted latency slice.
-fn percentiles_of_sorted(lat: &[u64]) -> (u64, u64) {
+/// Nearest-rank `(p50, p99)` of a latency buffer, which is reordered:
+/// two selections, no sort. The p50 rank never exceeds the p99 rank, so
+/// the second selection runs on the part left of the p99 element only.
+fn select_percentiles(lat: &mut [u64]) -> (u64, u64) {
     if lat.is_empty() {
         return (0, 0);
     }
-    let rank = |p: f64| -> u64 {
-        let idx = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
-        lat[idx]
+    let n = lat.len();
+    let rank = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+    let (r50, r99) = (rank(0.50), rank(0.99));
+    let (below, &mut p99, _) = lat.select_nth_unstable(r99);
+    let p50 = if r50 == r99 {
+        p99
+    } else {
+        *below.select_nth_unstable(r50).1
     };
-    (rank(0.50), rank(0.99))
+    (p50, p99)
 }
 
 /// Fraction of deliveries arriving out of order at their destination.
@@ -351,76 +369,157 @@ fn percentiles_of_sorted(lat: &[u64]) -> (u64, u64) {
 /// `t + 1` carries later information than one fired at `t` (spikes within
 /// the same timestep are simultaneous — their relative AER serialization
 /// order carries no information). Per destination crossbar, deliveries are
-/// ordered by send step (ties by inject cycle); each adjacent cross-step
-/// pair delivered in inverted order counts once. The fraction is
-/// inversions / deliveries — the paper's "fraction of total spikes arriving
-/// out of order at the neurons", caused by congestion delaying older
-/// spikes past newer ones (the paper's crossbar-arbitration example).
+/// ordered by send step, then inject cycle, source neuron and log index;
+/// each adjacent cross-step pair in that order delivered in inverted order
+/// counts once. The fraction is inversions / deliveries — the paper's
+/// "fraction of total spikes arriving out of order at the neurons", caused
+/// by congestion delaying older spikes past newer ones (the paper's
+/// crossbar-arbitration example).
+///
+/// Adjacent pairs inside one `(destination, step)` group never count, so
+/// only the pairs at the boundaries between consecutive non-empty groups
+/// of a destination can: the last delivery of one group against the first
+/// of the next. One pass keeps, per group, its first and last delivery in
+/// `(inject cycle, source neuron, index)` order; a walk over the groups
+/// then compares across each boundary. No sort: the groups live in a
+/// dense `(destination, step)` table when it has at most two cells per
+/// delivery, as on congested runs where most crossbars receive in most
+/// steps. A sparser log keeps its groups in a hash map instead and
+/// orders only the occupied groups, so memory stays linear in the log.
 pub fn disorder_fraction(deliveries: &[Delivery]) -> f64 {
     if deliveries.is_empty() {
         return 0.0;
     }
-    // one sort groups the per-destination streams in their sorted order
-    // at once (the engines call this on every run: a HashMap of
-    // per-stream Vecs showed up in the dense-regime bench profile).
-    // Packed keys — (dst, step) and (neuron, input index) each fused
-    // into one u64 — keep the exact lexicographic order of the field
-    // tuple while most comparisons resolve on the first word; the unique
-    // index makes the unstable sort reproduce the stable order exactly.
-    let mut sorted: Vec<(u64, u64, u64)> = deliveries
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            (
-                (u64::from(d.dst_crossbar) << 32) | u64::from(d.send_step),
-                d.inject_cycle,
-                (u64::from(d.source_neuron) << 32) | i as u64,
-            )
-        })
-        .collect();
-    sorted.sort_unstable();
-    let deliver = |key: &(u64, u64, u64)| deliveries[(key.2 & 0xffff_ffff) as usize].deliver_cycle;
-    let inversions = sorted
-        .windows(2)
-        .filter(|w| {
-            let (a, b) = (w[0], w[1]);
-            // same dst, strictly later step, delivered earlier
-            a.0 >> 32 == b.0 >> 32 && a.0 < b.0 && deliver(&a) > deliver(&b)
-        })
-        .count() as u64;
+    let inversions = boundary_inversions(deliveries);
     inversions as f64 / deliveries.len() as f64
+}
+
+/// Marks a group with no delivery yet.
+const EMPTY: u32 = u32::MAX;
+
+/// Folds delivery `i` into its group's `[first, last]` extremes, ordered
+/// by `(inject cycle, source neuron, index)`. Deliveries arrive in index
+/// order, so a tie on the first two fields never displaces the first and
+/// always displaces the last.
+#[inline]
+fn fold_extremes(group: &mut [u32; 2], i: u32, deliveries: &[Delivery]) {
+    let key = |k: u32| {
+        let d = &deliveries[k as usize];
+        (d.inject_cycle, d.source_neuron)
+    };
+    if group[0] == EMPTY {
+        *group = [i, i];
+        return;
+    }
+    let k = key(i);
+    if k < key(group[0]) {
+        group[0] = i;
+    }
+    if k >= key(group[1]) {
+        group[1] = i;
+    }
+}
+
+/// Counts the cross-step inversions of [`disorder_fraction`].
+fn boundary_inversions(deliveries: &[Delivery]) -> u64 {
+    debug_assert!(u32::try_from(deliveries.len()).is_ok_and(|n| n < EMPTY));
+    let deliver = |k: u32| deliveries[k as usize].deliver_cycle;
+    // consecutive non-empty groups of one destination, in step order
+    let count = |groups: &mut dyn Iterator<Item = (u32, [u32; 2])>| {
+        let mut inversions = 0u64;
+        let mut prev: Option<(u32, u32)> = None; // (dst, last delivery)
+        for (dst, [first, last]) in groups {
+            if let Some((pdst, plast)) = prev {
+                if pdst == dst && deliver(plast) > deliver(first) {
+                    inversions += 1;
+                }
+            }
+            prev = Some((dst, last));
+        }
+        inversions
+    };
+
+    let (mut max_dst, mut min_step, mut max_step) = (0u32, u32::MAX, 0u32);
+    for d in deliveries {
+        max_dst = max_dst.max(d.dst_crossbar);
+        min_step = min_step.min(d.send_step);
+        max_step = max_step.max(d.send_step);
+    }
+    let span = (max_step - min_step) as usize + 1;
+    let dense = (max_dst as usize + 1)
+        .checked_mul(span)
+        .filter(|&cells| cells <= 2 * deliveries.len());
+    if let Some(cells) = dense {
+        let mut table = vec![[EMPTY; 2]; cells];
+        for (i, d) in deliveries.iter().enumerate() {
+            let cell = d.dst_crossbar as usize * span + (d.send_step - min_step) as usize;
+            fold_extremes(&mut table[cell], i as u32, deliveries);
+        }
+        let mut groups = table
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g[0] != EMPTY)
+            .map(|(cell, &g)| ((cell / span) as u32, g));
+        count(&mut groups)
+    } else {
+        let mut table: std::collections::HashMap<u64, [u32; 2]> = std::collections::HashMap::new();
+        for (i, d) in deliveries.iter().enumerate() {
+            let key = (u64::from(d.dst_crossbar) << 32) | u64::from(d.send_step);
+            fold_extremes(table.entry(key).or_insert([EMPTY; 2]), i as u32, deliveries);
+        }
+        let mut occupied: Vec<(u64, [u32; 2])> = table.into_iter().collect();
+        occupied.sort_unstable_by_key(|&(key, _)| key);
+        let mut groups = occupied.into_iter().map(|(key, g)| ((key >> 32) as u32, g));
+        count(&mut groups)
+    }
 }
 
 /// ISI distortion per (source neuron, destination crossbar) stream:
 /// max |ISI(inject) − ISI(deliver)| in cycles; returns `(mean, max)` over
 /// streams with at least two spikes.
+///
+/// One sort groups the streams: each delivery becomes one packed integer
+/// key `(source neuron, destination, inject cycle, deliver cycle)`
+/// ([`crate::keys`]), so streams are the maximal runs sharing the first
+/// two fields, with times sorted within each run.
 pub fn isi_distortion(deliveries: &[Delivery]) -> (f64, u64) {
-    // single sort instead of a HashMap of per-stream Vecs (see
-    // `disorder_fraction`): streams are the maximal runs sharing
-    // `(source_neuron, dst_crossbar)` — packed into one u64 stream key —
-    // with times sorted within each run
-    let mut sorted: Vec<(u64, u64, u64)> = deliveries
+    let (mut neuron, mut dst, mut inject, mut deliver) = (0, 0, 0, 0);
+    for d in deliveries {
+        neuron = neuron.max(u64::from(d.source_neuron));
+        dst = dst.max(u64::from(d.dst_crossbar));
+        inject = inject.max(d.inject_cycle);
+        deliver = deliver.max(d.deliver_cycle);
+    }
+    let layout = KeyLayout::new([neuron, dst, inject, deliver]);
+    with_words!(layout, W => isi_distortion_w::<W>(deliveries, &layout))
+}
+
+fn isi_distortion_w<const W: usize>(deliveries: &[Delivery], layout: &KeyLayout<4>) -> (f64, u64) {
+    let mut sorted: Vec<[u64; W]> = deliveries
         .iter()
         .map(|d| {
-            (
-                (u64::from(d.source_neuron) << 32) | u64::from(d.dst_crossbar),
+            layout.pack([
+                u64::from(d.source_neuron),
+                u64::from(d.dst_crossbar),
                 d.inject_cycle,
                 d.deliver_cycle,
-            )
+            ])
         })
         .collect();
-    sorted.sort_unstable();
+    sort_keys(&mut sorted);
+    let stream = |k: &[u64; W]| (layout.field(k, 0), layout.field(k, 1));
+    let times = |k: &[u64; W]| (layout.field(k, 2), layout.field(k, 3));
     let mut sum = 0u64;
     let mut count = 0u64;
     let mut global_max = 0u64;
     let mut i = 0;
     while i < sorted.len() {
-        let (stream, ..) = sorted[i];
+        let s = stream(&sorted[i]);
         let mut stream_max = 0u64;
         let mut j = i + 1;
-        while j < sorted.len() && sorted[j].0 == stream {
-            let (_, ai, ad) = sorted[j - 1];
-            let (_, bi, bd) = sorted[j];
+        while j < sorted.len() && stream(&sorted[j]) == s {
+            let (ai, ad) = times(&sorted[j - 1]);
+            let (bi, bd) = times(&sorted[j]);
             let sent_isi = bi - ai;
             let recv_isi = bd.abs_diff(ad);
             stream_max = stream_max.max(sent_isi.abs_diff(recv_isi));
@@ -441,9 +540,113 @@ pub fn isi_distortion(deliveries: &[Delivery]) -> (f64, u64) {
     (mean, global_max)
 }
 
+/// Sort-based formulations of the statistics above: the reference the
+/// fast versions are held to bit-for-bit (see the proptest below).
+#[cfg(test)]
+mod reference {
+    use super::Delivery;
+
+    pub(super) fn latency_percentiles(deliveries: &[Delivery]) -> (u64, u64) {
+        let mut lat: Vec<u64> = deliveries.iter().map(|d| d.latency()).collect();
+        lat.sort_unstable();
+        if lat.is_empty() {
+            return (0, 0);
+        }
+        let rank = |p: f64| -> u64 {
+            let idx = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
+            lat[idx]
+        };
+        (rank(0.50), rank(0.99))
+    }
+
+    pub(super) fn disorder_fraction(deliveries: &[Delivery]) -> f64 {
+        if deliveries.is_empty() {
+            return 0.0;
+        }
+        // one sort groups the per-destination streams in their sorted order
+        // at once (the engines call this on every run: a HashMap of
+        // per-stream Vecs showed up in the dense-regime bench profile).
+        // Packed keys — (dst, step) and (neuron, input index) each fused
+        // into one u64 — keep the exact lexicographic order of the field
+        // tuple while most comparisons resolve on the first word; the unique
+        // index makes the unstable sort reproduce the stable order exactly.
+        let mut sorted: Vec<(u64, u64, u64)> = deliveries
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                (
+                    (u64::from(d.dst_crossbar) << 32) | u64::from(d.send_step),
+                    d.inject_cycle,
+                    (u64::from(d.source_neuron) << 32) | i as u64,
+                )
+            })
+            .collect();
+        sorted.sort_unstable();
+        let deliver =
+            |key: &(u64, u64, u64)| deliveries[(key.2 & 0xffff_ffff) as usize].deliver_cycle;
+        let inversions = sorted
+            .windows(2)
+            .filter(|w| {
+                let (a, b) = (w[0], w[1]);
+                // same dst, strictly later step, delivered earlier
+                a.0 >> 32 == b.0 >> 32 && a.0 < b.0 && deliver(&a) > deliver(&b)
+            })
+            .count() as u64;
+        inversions as f64 / deliveries.len() as f64
+    }
+
+    pub(super) fn isi_distortion(deliveries: &[Delivery]) -> (f64, u64) {
+        // single sort instead of a HashMap of per-stream Vecs (see
+        // `disorder_fraction`): streams are the maximal runs sharing
+        // `(source_neuron, dst_crossbar)` — packed into one u64 stream key —
+        // with times sorted within each run
+        let mut sorted: Vec<(u64, u64, u64)> = deliveries
+            .iter()
+            .map(|d| {
+                (
+                    (u64::from(d.source_neuron) << 32) | u64::from(d.dst_crossbar),
+                    d.inject_cycle,
+                    d.deliver_cycle,
+                )
+            })
+            .collect();
+        sorted.sort_unstable();
+        let mut sum = 0u64;
+        let mut count = 0u64;
+        let mut global_max = 0u64;
+        let mut i = 0;
+        while i < sorted.len() {
+            let (stream, ..) = sorted[i];
+            let mut stream_max = 0u64;
+            let mut j = i + 1;
+            while j < sorted.len() && sorted[j].0 == stream {
+                let (_, ai, ad) = sorted[j - 1];
+                let (_, bi, bd) = sorted[j];
+                let sent_isi = bi - ai;
+                let recv_isi = bd.abs_diff(ad);
+                stream_max = stream_max.max(sent_isi.abs_diff(recv_isi));
+                j += 1;
+            }
+            if j > i + 1 {
+                sum += stream_max;
+                count += 1;
+                global_max = global_max.max(stream_max);
+            }
+            i = j;
+        }
+        let mean = if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        };
+        (mean, global_max)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d(src: u32, dst: u32, inj: u64, del: u64) -> Delivery {
         Delivery {
@@ -670,6 +873,86 @@ mod tests {
         let ds = vec![d(0, 1, 0, 3), d(1, 1, 0, 30), d(2, 1, 0, 300)];
         let (p50, p99) = latency_percentiles(&ds);
         assert!(p50 <= p99);
+    }
+
+    /// `NEUROMAP_PROPTEST_CASES` overrides the case count, as in the
+    /// workspace's integration suites.
+    fn cases(default: u32) -> u32 {
+        std::env::var("NEUROMAP_PROPTEST_CASES").map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|e| panic!("NEUROMAP_PROPTEST_CASES must be a u32, got {v:?}: {e}"))
+        })
+    }
+
+    /// Tie-heavy delivery logs: few neurons, crossbars and inject offsets,
+    /// so equal inject cycles across source crossbars and one neuron
+    /// reaching the same destination several times in one step are
+    /// common. `spread` picks the step layout: consecutive, gapped, or
+    /// so sparse (with scattered destinations) that the disorder pass
+    /// leaves its dense table.
+    fn arb_log() -> impl Strategy<Value = Vec<Delivery>> {
+        (
+            0u32..3,
+            proptest::collection::vec(
+                (0u32..3, 0u32..3, 0u32..3, 0u32..4, 0u64..3, 0u64..40),
+                0..64,
+            ),
+        )
+            .prop_map(|(spread, raw)| {
+                raw.into_iter()
+                    .map(|(neuron, src, dst, raw_step, offset, latency)| {
+                        // timing follows the raw step, so every spread
+                        // has cross-step overtaking
+                        let inject = u64::from(raw_step) * 16 + offset;
+                        let (dst, step) = match spread {
+                            0 => (dst, raw_step),
+                            1 => (dst, raw_step * 3),
+                            _ => (dst.wrapping_mul(1_000_000_007), raw_step * 1_000_003),
+                        };
+                        Delivery::new(neuron, src, dst, step, inject, inject + latency)
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+        #[test]
+        fn fast_stats_match_the_sort_based_reference(log in arb_log()) {
+            prop_assert_eq!(
+                disorder_fraction(&log).to_bits(),
+                reference::disorder_fraction(&log).to_bits()
+            );
+            let (mean, max) = isi_distortion(&log);
+            let (ref_mean, ref_max) = reference::isi_distortion(&log);
+            prop_assert_eq!(mean.to_bits(), ref_mean.to_bits());
+            prop_assert_eq!(max, ref_max);
+            let (p50, p99) = reference::latency_percentiles(&log);
+            prop_assert_eq!(latency_percentiles(&log), (p50, p99));
+            let s = NocStats::from_deliveries(&log, Counters::default(), &EnergyModel::default(), 2, 1, 16);
+            prop_assert_eq!((s.p50_latency_cycles, s.p99_latency_cycles), (p50, p99));
+            prop_assert_eq!(
+                s.max_latency_cycles,
+                log.iter().map(|d| d.latency()).max().unwrap_or(0)
+            );
+        }
+    }
+
+    #[test]
+    fn fast_stats_match_the_reference_on_tiny_logs() {
+        let single = vec![d(3, 1, 7, 9)];
+        for log in [Vec::new(), single] {
+            assert_eq!(
+                disorder_fraction(&log).to_bits(),
+                reference::disorder_fraction(&log).to_bits()
+            );
+            assert_eq!(isi_distortion(&log), reference::isi_distortion(&log));
+            assert_eq!(
+                latency_percentiles(&log),
+                reference::latency_percentiles(&log)
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> build (release)"
 cargo build --release
 
+echo "==> perfbench build (the whole-run benchmark compiles against the library API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> tests (workspace)"
 cargo test --workspace -q
 
@@ -133,6 +136,11 @@ echo "==> NoC differential proptests incl. VC corpus (high case count)"
 # covers the vc_count {1,2,4} x depth 1-4 x mesh/torus grid, the golden
 # pre-VC digests, and the deterministic torus deadlock regression
 NEUROMAP_PROPTEST_CASES=256 cargo test --release --test noc_properties -q
+
+echo "==> NoC statistics vs sort-based reference (high case count)"
+# disorder, ISI and latency percentiles must stay f64::to_bits-equal to
+# the sort-based reference on tie-heavy delivery logs
+NEUROMAP_PROPTEST_CASES=256 cargo test --release -p neuromap-noc -q stats
 
 echo "==> hierarchical-fabric proptests (1-chip byte identity + multi-chip VC safety)"
 NEUROMAP_PROPTEST_CASES=256 cargo test --release --test hier_properties -q

@@ -32,7 +32,7 @@ use neuromap::noc::topology::{
     check_routes, check_vc_channel_dependencies, check_vc_tree_dependencies, HierTopology, Mesh2D,
     Topology, Torus,
 };
-use neuromap::noc::traffic::SpikeFlow;
+use neuromap::noc::traffic::{FlowSet, SpikeFlow};
 use proptest::prelude::*;
 use proptest::TestCaseResult;
 
@@ -41,7 +41,7 @@ mod common;
 /// Crossbar count of the 1-chip corpus (a 4 × 4 intra grid).
 const CROSSBARS: u32 = 16;
 
-fn arb_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
+fn arb_flows(max_flows: usize) -> impl Strategy<Value = FlowSet> {
     proptest::collection::vec(
         (
             0u32..1000,      // source neuron
@@ -82,7 +82,7 @@ fn assert_topologies_identical(
     flat: Box<dyn Topology>,
     hier: Box<dyn Topology>,
     cfg: NocConfig,
-    flows: &[SpikeFlow],
+    flows: &FlowSet,
     duration: u32,
 ) -> TestCaseResult {
     let name = format!("{} vs {} vc={}", flat.name(), hier.name(), cfg.vc_count);

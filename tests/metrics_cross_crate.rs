@@ -6,13 +6,13 @@ use neuromap::hw::energy::EnergyModel;
 use neuromap::noc::config::NocConfig;
 use neuromap::noc::sim::NocSim;
 use neuromap::noc::topology::{Mesh2D, Star};
-use neuromap::noc::traffic::SpikeFlow;
+use neuromap::noc::traffic::{FlowSet, SpikeFlow};
 
 #[test]
 fn uncongested_streams_have_no_distortion_or_disorder() {
     // one source, periodic spikes, no contention: the interconnect is a
     // constant delay — ISIs survive exactly
-    let flows: Vec<SpikeFlow> = (0..10)
+    let flows: FlowSet = (0..10)
         .map(|k| SpikeFlow::unicast(1, 0, 3, k * 2))
         .collect();
     let mut sim = NocSim::new(
@@ -30,12 +30,12 @@ fn uncongested_streams_have_no_distortion_or_disorder() {
 fn hub_congestion_creates_isi_distortion() {
     // many crossbars burst through a star hub toward one destination in
     // alternating steps: queueing delay varies per step → ISI distortion
-    let mut flows = Vec::new();
+    let mut flows = FlowSet::new();
     for step in 0..12u32 {
         // variable burst size: heavy every other step
         let burst = if step % 2 == 0 { 24 } else { 1 };
         for k in 0..burst {
-            flows.push(SpikeFlow::unicast(100 + k, 1 + (k % 5), 0, step));
+            flows.push_unicast(100 + k, 1 + (k % 5), 0, step);
         }
     }
     // slow clock so bursts interact with the step length
@@ -56,11 +56,11 @@ fn cross_step_overtaking_is_disorder() {
     // step 0: a big burst from crossbar 1 to 0 (long queue); step 1: a
     // single spike from crossbar 2 to 0 that arrives while the queue is
     // still draining → it overtakes older spikes
-    let mut flows = Vec::new();
+    let mut flows = FlowSet::new();
     for k in 0..40u32 {
-        flows.push(SpikeFlow::unicast(k, 1, 0, 0));
+        flows.push_unicast(k, 1, 0, 0);
     }
-    flows.push(SpikeFlow::unicast(999, 2, 0, 1));
+    flows.push_unicast(999, 2, 0, 1);
     let cfg = NocConfig {
         cycles_per_step: 8,
         ..NocConfig::default()
@@ -75,7 +75,7 @@ fn cross_step_overtaking_is_disorder() {
 
 #[test]
 fn energy_scales_with_distance_and_traffic() {
-    let run = |flows: &[SpikeFlow]| {
+    let run = |flows: &FlowSet| {
         let mut sim = NocSim::new(
             Box::new(Mesh2D::grid(4, 1, 4)),
             NocConfig::default(),
@@ -83,12 +83,12 @@ fn energy_scales_with_distance_and_traffic() {
         );
         sim.run(flows).expect("drains").global_energy_pj
     };
-    let near = run(&[SpikeFlow::unicast(0, 0, 1, 0)]);
-    let far = run(&[SpikeFlow::unicast(0, 0, 3, 0)]);
+    let near = run(&SpikeFlow::unicast(0, 0, 1, 0).into());
+    let far = run(&SpikeFlow::unicast(0, 0, 3, 0).into());
     assert!(far > near, "3 hops must cost more than 1");
 
-    let once: Vec<SpikeFlow> = vec![SpikeFlow::unicast(0, 0, 3, 0)];
-    let thrice: Vec<SpikeFlow> = (0..3).map(|k| SpikeFlow::unicast(k, 0, 3, k)).collect();
+    let once = FlowSet::from(SpikeFlow::unicast(0, 0, 3, 0));
+    let thrice: FlowSet = (0..3).map(|k| SpikeFlow::unicast(k, 0, 3, k)).collect();
     assert!(
         (run(&thrice) - 3.0 * run(&once)).abs() < 1e-6,
         "uncongested energy is linear"
@@ -97,7 +97,7 @@ fn energy_scales_with_distance_and_traffic() {
 
 #[test]
 fn multicast_saves_energy_over_unicast_clones() {
-    let flows = vec![SpikeFlow::multicast(7, 0, vec![1, 2, 3], 0); 5];
+    let flows = FlowSet::from(vec![SpikeFlow::multicast(7, 0, vec![1, 2, 3], 0); 5]);
     let run = |multicast: bool| {
         let cfg = NocConfig {
             multicast,
@@ -129,15 +129,15 @@ fn per_vc_counters_partition_the_global_counters() {
     // VC FIFO may ever exceed its credit-bounded depth
     use neuromap::noc::topology::Torus;
 
-    let mut flows = Vec::new();
+    let mut flows = FlowSet::new();
     for step in 0..8u32 {
         for src in 0..16u32 {
-            flows.push(SpikeFlow::multicast(
+            flows.extend([SpikeFlow::multicast(
                 src * 13 + step,
                 src,
                 vec![(src + 2) % 16, (src + 9) % 16, (src + 14) % 16],
                 step,
-            ));
+            )]);
         }
     }
     let cfg = NocConfig {

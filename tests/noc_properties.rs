@@ -42,7 +42,7 @@ use neuromap::noc::stats::{Delivery, NocStats};
 use neuromap::noc::topology::{
     check_vc_tree_dependencies, Mesh2D, NocTree, PointToPoint, Star, Topology, Torus,
 };
-use neuromap::noc::traffic::SpikeFlow;
+use neuromap::noc::traffic::{FlowSet, SpikeFlow};
 use neuromap::noc::NocError;
 use proptest::prelude::*;
 
@@ -52,7 +52,7 @@ use rand::{Rng, SeedableRng};
 
 const CROSSBARS: u32 = 8;
 
-fn arb_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
+fn arb_flows(max_flows: usize) -> impl Strategy<Value = FlowSet> {
     proptest::collection::vec(
         (
             0u32..1000,      // source neuron
@@ -71,7 +71,7 @@ fn arb_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
 
 /// Hotspot traffic: many sources, one destination crossbar — the shape
 /// that drives credit backpressure and round-robin contention hardest.
-fn arb_hotspot(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
+fn arb_hotspot(max_flows: usize) -> impl Strategy<Value = FlowSet> {
     proptest::collection::vec(
         (
             0u32..1000,      // source neuron
@@ -83,6 +83,42 @@ fn arb_hotspot(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
     .prop_map(|raw| {
         raw.into_iter()
             .map(|(neuron, src, step)| SpikeFlow::unicast(neuron, src, 0, step))
+            .collect()
+    })
+}
+
+/// Per-synapse-shaped traffic that stresses the schedule's sort key:
+/// few neurons, sources and steps, so flows tied on `(step, source,
+/// neuron)` are the norm; duplicate destinations, both as repeated
+/// flows (several synapses onto one crossbar) and inside one
+/// destination list; and multi-destination flows sharing their first
+/// destination, the ties only the full destination-set comparison
+/// orders. Destination lists are kept as drawn: unsorted, undeduplicated.
+fn arb_tie_flows(max_flows: usize) -> impl Strategy<Value = FlowSet> {
+    proptest::collection::vec(
+        (
+            0u32..3,         // source neuron
+            0u32..CROSSBARS, // src crossbar
+            0u32..3,         // send step
+            0u32..3,         // first destination: shared often
+            proptest::collection::vec(0u32..CROSSBARS, 0..3),
+            1usize..3, // copies of the flow
+        ),
+        1..max_flows,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .flat_map(|(neuron, src, step, first, rest, copies)| {
+                let mut dst_crossbars = vec![first];
+                dst_crossbars.extend(rest);
+                let flow = SpikeFlow {
+                    source_neuron: neuron,
+                    src_crossbar: src,
+                    dst_crossbars,
+                    send_step: step,
+                };
+                std::iter::repeat_n(flow, copies)
+            })
             .collect()
     })
 }
@@ -113,7 +149,7 @@ const ARBS: [Arbitration; 3] = [
 fn assert_engines_agree(
     topo_idx: usize,
     cfg: NocConfig,
-    flows: &[SpikeFlow],
+    flows: &FlowSet,
     duration: u32,
 ) -> Result<(), String> {
     let mut event = NocSim::new(topology(topo_idx), cfg, EnergyModel::default());
@@ -149,14 +185,14 @@ fn assert_engines_agree(
 }
 
 /// Deterministic Fisher–Yates permutation of `flows`.
-fn shuffled(flows: &[SpikeFlow], seed: u64) -> Vec<SpikeFlow> {
+fn shuffled(flows: &FlowSet, seed: u64) -> FlowSet {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = flows.to_vec();
+    let mut out: Vec<SpikeFlow> = flows.iter().map(|f| f.to_spike_flow()).collect();
     for i in (1..out.len()).rev() {
         let j = rng.gen_range(0..=i);
         out.swap(i, j);
     }
-    out
+    out.into()
 }
 
 // ---------------- virtual-channel campaign ----------------
@@ -174,7 +210,7 @@ fn vc_topology(mesh: bool) -> Box<dyn Topology> {
     }
 }
 
-fn arb_vc_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
+fn arb_vc_flows(max_flows: usize) -> impl Strategy<Value = FlowSet> {
     proptest::collection::vec(
         (
             0u32..1000,
@@ -196,7 +232,7 @@ fn arb_vc_flows(max_flows: usize) -> impl Strategy<Value = Vec<SpikeFlow>> {
 fn assert_engines_agree_on(
     topo: impl Fn() -> Box<dyn Topology>,
     cfg: NocConfig,
-    flows: &[SpikeFlow],
+    flows: &FlowSet,
     duration: u32,
 ) -> Result<(), String> {
     let mut event = NocSim::new(topo(), cfg, EnergyModel::default());
@@ -237,16 +273,16 @@ fn assert_engines_agree_on(
 
 /// The minimal deterministic wedge: every ring node multicasts past its
 /// neighbor through the wraparound, depth-1 FIFOs, bursty steps.
-fn ring_deadlock_flows() -> Vec<SpikeFlow> {
-    let mut flows = Vec::new();
+fn ring_deadlock_flows() -> FlowSet {
+    let mut flows = FlowSet::new();
     for step in 0..2u32 {
         for i in 0..4u32 {
-            flows.push(SpikeFlow::multicast(
+            flows.extend([SpikeFlow::multicast(
                 i * 10 + step,
                 i,
                 vec![(i + 1) % 4, (i + 2) % 4],
                 step,
-            ));
+            )]);
         }
     }
     flows
@@ -335,11 +371,11 @@ fn pre_vc_digests_are_stable() {
     // shape included. A digest change here means single-VC behavior (or
     // the serialized statistics shape) drifted — exactly what the VC
     // refactor promised not to do.
-    let multicast_storm = |crossbars: u32, steps: u32| -> Vec<SpikeFlow> {
-        let mut flows = Vec::new();
+    let multicast_storm = |crossbars: u32, steps: u32| -> FlowSet {
+        let mut flows = FlowSet::new();
         for step in 0..steps {
             for src in 0..crossbars {
-                flows.push(SpikeFlow::multicast(
+                flows.extend([SpikeFlow::multicast(
                     src * 31 + step,
                     src,
                     vec![
@@ -348,12 +384,12 @@ fn pre_vc_digests_are_stable() {
                         (src + 5) % crossbars,
                     ],
                     step,
-                ));
+                )]);
             }
         }
         flows
     };
-    let hotspot = |crossbars: u32, count: u32| -> Vec<SpikeFlow> {
+    let hotspot = |crossbars: u32, count: u32| -> FlowSet {
         (0..count)
             .map(|i| SpikeFlow::unicast(i, 1 + (i % (crossbars - 1)), 0, i % 3))
             .collect()
@@ -362,7 +398,7 @@ fn pre_vc_digests_are_stable() {
         &'static str,
         Box<dyn Topology>,
         NocConfig,
-        Vec<SpikeFlow>,
+        FlowSet,
         u32,
         u64,
     );
@@ -658,6 +694,34 @@ proptest! {
         prop_assert_eq!(da, db, "delivery logs depend on input order");
         prop_assert_eq!(sa.digest().unwrap(), sb.digest().unwrap(), "stats depend on input order");
     }
+
+    #[test]
+    fn schedule_order_agrees_across_engines_and_input_orders(
+        flows in arb_tie_flows(40),
+        topo_idx in 0usize..6,
+        multicast in any::<bool>(),
+        trees in any::<bool>(),
+        shuffle_seed in any::<u64>(),
+    ) {
+        // per-synapse-shaped ties: the packed schedule key, the
+        // destination-set tie pass and the arena packets must give the
+        // oracle's results, whichever order the flows arrive in
+        let cfg = NocConfig {
+            buffer_depth: 2,
+            multicast,
+            multicast_trees: trees,
+            ..NocConfig::default()
+        };
+        let permuted = shuffled(&flows, shuffle_seed);
+        assert_engines_agree(topo_idx, cfg, &flows, 4)?;
+        assert_engines_agree(topo_idx, cfg, &permuted, 4)?;
+        let mut a = NocSim::new(topology(topo_idx), cfg, EnergyModel::default());
+        let mut b = CycleSim::new(topology(topo_idx), cfg, EnergyModel::default());
+        let (sa, da) = a.run_with_duration(&flows, 4).expect("drains");
+        let (sb, db) = b.run_with_duration(&permuted, 4).expect("drains");
+        prop_assert_eq!(da, db, "delivery logs depend on input order");
+        prop_assert_eq!(sa.digest().unwrap(), sb.digest().unwrap(), "stats depend on input order");
+    }
 }
 
 proptest! {
@@ -693,7 +757,7 @@ proptest! {
             let name = topo.name();
             let mut sim = NocSim::new(topo, NocConfig::default(), EnergyModel::default());
             let stats = sim
-                .run(&[SpikeFlow::unicast(1, src, dst, 0)])
+                .run(&SpikeFlow::unicast(1, src, dst, 0).into())
                 .expect("single flow");
             prop_assert!(
                 stats.max_latency_cycles >= min_hops,

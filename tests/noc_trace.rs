@@ -14,7 +14,7 @@ use neuromap::noc::config::NocConfig;
 use neuromap::noc::sim::oracle::CycleSim;
 use neuromap::noc::sim::NocSim;
 use neuromap::noc::topology::Mesh2D;
-use neuromap::noc::traffic::SpikeFlow;
+use neuromap::noc::traffic::{FlowSet, SpikeFlow};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_small.json");
 
@@ -22,17 +22,17 @@ const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tra
 /// mesh, busy enough to exercise every event kind (including
 /// blocked-on-credit spans — depth 1 guarantees stalls) while keeping
 /// the golden file reviewable.
-fn small_workload() -> Vec<SpikeFlow> {
+fn small_workload() -> FlowSet {
     let crossbars = 8u32;
-    let mut flows = Vec::new();
+    let mut flows = FlowSet::new();
     for step in 0..3 {
         for src in 0..crossbars {
-            flows.push(SpikeFlow::multicast(
+            flows.extend([SpikeFlow::multicast(
                 src * 31 + step,
                 src,
                 vec![(src + 1) % crossbars, (src + 3) % crossbars],
                 step,
-            ));
+            )]);
         }
     }
     flows
