@@ -23,7 +23,9 @@ use neuromap_core::eval::{EvalEngine, SwarmEval, SwarmKernel, SwarmScratch};
 use neuromap_core::multilevel::{vcycle, MultilevelConfig};
 use neuromap_core::partition::{FitnessKind, PartitionProblem};
 use neuromap_core::pipeline::TrafficMode;
-use neuromap_core::place::{optimize_placement, PlaceConfig, TrafficMatrix};
+use neuromap_core::place::{
+    optimize_placement, swap_delta, PlaceConfig, SwapPricer, TrafficMatrix, TrafficRows,
+};
 use neuromap_core::pso::{PsoConfig, PsoPartitioner};
 use neuromap_core::SpikeGraph;
 use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D};
@@ -274,6 +276,52 @@ fn bench_placement(
     group.sample_size(10);
     group.bench_function("optimize", |b| {
         b.iter(|| optimize_placement(&traffic, lut, &cfg).expect("valid config"));
+    });
+
+    // one greedy first-improvement sweep over all cluster pairs, priced
+    // by the reference `swap_delta` and by the `SwapPricer`; the paired
+    // `placement/<name>/sweep` ratio reads the pricer's same-run speedup.
+    // Both sweeps must land on the same permutation before anything is
+    // timed (the pricer build is part of its timed sweep)
+    let rows = TrafficRows::new(&traffic);
+    let identity: Vec<u32> = (0..traffic.num_crossbars() as u32).collect();
+    let reference_sweep = || {
+        let mut perm = identity.clone();
+        for a in 0..perm.len() {
+            for b in a + 1..perm.len() {
+                if swap_delta(&traffic, lut, &perm, a, b) < 0 {
+                    perm.swap(a, b);
+                }
+            }
+        }
+        perm
+    };
+    let pricer_sweep = || {
+        let mut pricer = SwapPricer::new(&rows, lut, identity.clone());
+        for a in 0..identity.len() {
+            for b in a + 1..identity.len() {
+                if pricer.delta(a, b) < 0 {
+                    pricer.apply(a, b);
+                }
+            }
+        }
+        pricer.into_physical_of()
+    };
+    let swept = reference_sweep();
+    assert_ne!(
+        swept, identity,
+        "the sweep must accept swaps to be representative"
+    );
+    assert_eq!(
+        pricer_sweep(),
+        swept,
+        "REGRESSION: the swap pricer's sweep diverges from the reference kernel"
+    );
+    group.bench_function(BenchmarkId::new("reference", "sweep"), |b| {
+        b.iter(|| black_box(reference_sweep()));
+    });
+    group.bench_function(BenchmarkId::new("pricer", "sweep"), |b| {
+        b.iter(|| black_box(pricer_sweep()));
     });
     group.finish();
 }
@@ -620,16 +668,18 @@ fn main() {
 
 /// Builds `{id, baseline, candidate, speedup, higher_is_better}`
 /// entries for every same-run baseline/candidate pair: `scalar` vs
-/// `batched` swarm scoring, `full` vs `incremental` move pricing, `flat`
-/// vs `vcycle` multilevel partitioning, and `staged` vs `joint`
-/// co-optimization. `higher_is_better` tells readers (and the verify
-/// gate) which direction is good: the coopt pair deliberately records
-/// the joint loop's *time overhead*, so its speedup sits below 1 by
-/// design and a naive "bigger is better" read would misfire.
+/// `batched` swarm scoring, `full` vs `incremental` move pricing,
+/// `reference` vs `pricer` placement sweeps, `flat` vs `vcycle`
+/// multilevel partitioning, and `staged` vs `joint` co-optimization.
+/// `higher_is_better` tells readers (and the verify gate) which
+/// direction is good: the coopt pair deliberately records the joint
+/// loop's *time overhead*, so its speedup sits below 1 by design and a
+/// naive "bigger is better" read would misfire.
 fn paired_ratios(c: &Criterion) -> Vec<String> {
-    const PAIRS: [(&str, &str, bool); 4] = [
+    const PAIRS: [(&str, &str, bool); 5] = [
         ("/scalar/", "/batched/", true),
         ("/full/", "/incremental/", true),
+        ("/reference/", "/pricer/", true),
         ("/flat/", "/vcycle/", true),
         ("/staged/", "/joint/", false),
     ];

@@ -46,6 +46,7 @@ use neuromap_noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Star, T
 use neuromap_noc::trace::TraceBuf;
 use neuromap_noc::traffic::FlowSet;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How global synaptic events become interconnect packets.
@@ -614,30 +615,39 @@ impl MappingPipeline {
     /// are paid once per branch, exactly the forwards the engines
     /// perform. The unicast count is unchanged (it is the packet count
     /// a clone-per-destination NoC would inject, the paper's yardstick).
+    /// Flows with the same source crossbar and destination list route
+    /// the same tree, so each distinct pair is routed once per call.
     ///
     /// [`NocConfig::multicast_trees`]: neuromap_noc::config::NocConfig::multicast_trees
     /// [`NocConfig::multicast`]: neuromap_noc::config::NocConfig::multicast
     pub fn hop_metrics(&self, flows: &FlowSet) -> (u64, u64) {
-        let trees = self.config.noc.multicast && self.config.noc.multicast_trees;
-        let mut weighted = 0u64;
         let unicast = flows.dest_count() as u64;
-        for f in flows.iter() {
-            if trees {
-                let src_router = self.topo.endpoint(f.src_crossbar);
-                let dest_routers: Vec<usize> = f
-                    .dst_crossbars
-                    .iter()
-                    .map(|&d| self.topo.endpoint(d))
-                    .collect();
-                let paths =
-                    self.topo
-                        .multicast_route(src_router, &dest_routers, self.config.noc.vc_count);
-                weighted += tree_forwards(&paths);
-            } else {
+        let mut weighted = 0u64;
+        if !(self.config.noc.multicast && self.config.noc.multicast_trees) {
+            for f in flows.iter() {
                 for &dst in f.dst_crossbars {
                     weighted += u64::from(self.dist.hops(f.src_crossbar, dst));
                 }
             }
+            return (weighted, unicast);
+        }
+        // flows sharing a source crossbar and a destination list share a
+        // tree: route each distinct key once per call
+        let mut forwards: HashMap<(u32, &[u32]), u64> = HashMap::new();
+        let mut dest_routers: Vec<usize> = Vec::new();
+        for f in flows.iter() {
+            weighted += *forwards
+                .entry((f.src_crossbar, f.dst_crossbars))
+                .or_insert_with(|| {
+                    dest_routers.clear();
+                    dest_routers.extend(f.dst_crossbars.iter().map(|&d| self.topo.endpoint(d)));
+                    let paths = self.topo.multicast_route(
+                        self.topo.endpoint(f.src_crossbar),
+                        &dest_routers,
+                        self.config.noc.vc_count,
+                    );
+                    tree_forwards(&paths)
+                });
         }
         (weighted, unicast)
     }
@@ -1089,6 +1099,55 @@ mod tests {
         let r = pipeline.evaluate(&g, m, "manual").unwrap();
         assert_eq!(r.hop_weighted_packets, r.cut_spikes);
         assert!((r.avg_hops - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tree_hop_metrics_equal_the_per_flow_sum() {
+        use neuromap_noc::config::NocConfig;
+        // repeated (source, destination list) keys, one destination list
+        // from two sources, duplicate destinations, unicast flows, and a
+        // flow with no destinations
+        let keys: [(u32, &[u32]); 6] = [
+            (0, &[5, 10, 15]),
+            (13, &[5, 10, 15]),
+            (3, &[12, 12, 1]),
+            (7, &[8]),
+            (15, &[0, 3, 12, 6, 9]),
+            (9, &[]),
+        ];
+        let mut flows = FlowSet::new();
+        for i in 0..48u32 {
+            let (src, dsts) = keys[(i * 7 % 6) as usize];
+            flows.push(i, src, dsts, i % 3);
+        }
+        let arch = Architecture::custom(16, 2, InterconnectKind::Torus).unwrap();
+        for vc_count in [1usize, 2] {
+            let noc = NocConfig {
+                multicast: true,
+                multicast_trees: true,
+                vc_count,
+                ..NocConfig::default()
+            };
+            let pipeline =
+                MappingPipeline::new(PipelineConfig::for_arch(arch.clone()).with_noc(noc));
+            let topo = pipeline.topology();
+            let expect: u64 = flows
+                .iter()
+                .map(|f| {
+                    let dests: Vec<usize> =
+                        f.dst_crossbars.iter().map(|&d| topo.endpoint(d)).collect();
+                    let paths =
+                        topo.multicast_route(topo.endpoint(f.src_crossbar), &dests, vc_count);
+                    tree_forwards(&paths)
+                })
+                .sum();
+            assert!(expect > 0);
+            assert_eq!(
+                pipeline.hop_metrics(&flows),
+                (expect, flows.dest_count() as u64),
+                "vc_count={vc_count}"
+            );
+        }
     }
 
     #[test]

@@ -19,15 +19,28 @@
 //!    problem — with deterministic, thread-spread simulated-annealing
 //!    restarts polished by greedy swap local search.
 //!
-//! ## Incremental pricing and its reference kernel
+//! ## Incremental pricing and its reference kernels
 //!
 //! Exchanging the physical slots of two clusters touches only their rows
-//! and columns of the traffic matrix, so [`swap_delta`] prices a swap in
-//! O(C) instead of the O(C²) full recompute [`placement_cost`] performs.
-//! The two are held equal by `tests/placement_properties.rs` over random
-//! matrices, topologies, and swap sequences — the same
-//! reference-vs-optimized discipline `decode.rs` uses for the PSO
-//! kernels.
+//! and columns of the traffic matrix, so a swap prices in O(C) instead
+//! of the O(C²) full recompute [`placement_cost`] performs. The search
+//! prices every swap — annealing proposals and greedy sweeps alike —
+//! through a [`SwapPricer`]: the traffic matrix and its transpose are
+//! laid out once per search as [`TrafficRows`] (row `a` = cluster `a`'s
+//! outgoing then incoming counts) and shared read-only by the restarts,
+//! and each restart keeps the *permuted* distance matrix
+//! `P[a][b] = hops(π(a), π(b))` in the same row-plus-column layout. A
+//! delta is then one pass over four contiguous double rows (traffic and
+//! distances of both clusters); an accepted swap exchanges two rows and
+//! two columns of `P`.
+//!
+//! [`swap_delta`] (the same O(C) formula, reading the matrix and the hop
+//! table by column) and [`placement_cost`] stay as the reference
+//! kernels. `tests/placement_properties.rs` holds all three equal over
+//! random asymmetric matrices, weighted and unweighted hop tables, and
+//! swap sequences — the same reference-vs-optimized discipline
+//! `decode.rs` uses for the PSO kernels. Every acceptance decision is an
+//! exact integer comparison, so the pricer changes no placement.
 //!
 //! ## Determinism contract
 //!
@@ -256,8 +269,9 @@ impl MulticastTraffic {
 }
 
 /// Reference kernel: the hop-weighted packet total of a placement,
-/// recomputed from scratch in O(C²). [`swap_delta`] must always agree
-/// with differences of this function (property-tested).
+/// recomputed from scratch in O(C²). [`swap_delta`] and
+/// [`SwapPricer::delta`] must always agree with differences of this
+/// function (property-tested).
 ///
 /// # Panics
 ///
@@ -280,9 +294,11 @@ pub fn placement_cost(traffic: &TrafficMatrix, dist: &DistanceLut, physical_of: 
     cost
 }
 
-/// Exact cost change of exchanging the physical slots of clusters `x`
-/// and `y` under `physical_of`, in O(C): only the rows and columns of
-/// the two clusters reprice. Pure — nothing is mutated.
+/// Reference kernel: exact cost change of exchanging the physical slots
+/// of clusters `x` and `y` under `physical_of`, in O(C): only the rows
+/// and columns of the two clusters reprice. Pure — nothing is mutated.
+/// The search itself prices through [`SwapPricer`], which returns the
+/// same integer.
 ///
 /// # Panics
 ///
@@ -313,6 +329,150 @@ pub fn swap_delta(
     // kept for exactness)
     d += t(x, y) * (w(py, px) - w(px, py)) + t(y, x) * (w(px, py) - w(py, px));
     d
+}
+
+/// A [`TrafficMatrix`] laid out for [`SwapPricer`]: for every cluster
+/// `a`, its outgoing row `packets(a, ·)` followed by its incoming row
+/// `packets(·, a)`, as `i64`. Built once per placement search and shared
+/// read-only by every restart.
+#[derive(Debug, Clone)]
+pub struct TrafficRows {
+    c: usize,
+    /// `rows[a * 2c .. a * 2c + c]` = out-row of `a`,
+    /// `rows[a * 2c + c .. (a + 1) * 2c]` = in-row of `a`.
+    rows: Vec<i64>,
+}
+
+impl TrafficRows {
+    /// Lays out `traffic` and its transpose row by row.
+    pub fn new(traffic: &TrafficMatrix) -> Self {
+        let c = traffic.c;
+        let mut rows = vec![0i64; 2 * c * c];
+        for (a, row) in rows.chunks_exact_mut(2 * c).enumerate() {
+            let (out, inc) = row.split_at_mut(c);
+            for b in 0..c {
+                out[b] = traffic.packets[a * c + b] as i64;
+                inc[b] = traffic.packets[b * c + a] as i64;
+            }
+        }
+        Self { c, rows }
+    }
+
+    fn row(&self, a: usize) -> &[i64] {
+        &self.rows[a * 2 * self.c..(a + 1) * 2 * self.c]
+    }
+}
+
+/// Incremental swap pricing over contiguous rows: the optimized
+/// counterpart of [`swap_delta`], returning the same exact integer.
+///
+/// Besides the shared [`TrafficRows`], the pricer keeps the *permuted*
+/// distance matrix `P[a][b] = hops(π(a), π(b))` of its own placement `π`,
+/// again row `a` followed by column `a`. Pricing a swap of `x` and `y`
+/// is then one pass over four contiguous double rows — traffic and
+/// distances of `x` and of `y` — instead of [`swap_delta`]'s column
+/// walks through the matrix and the hop table. Applying a swap exchanges
+/// two rows and two columns of `P` in O(C).
+#[derive(Debug, Clone)]
+pub struct SwapPricer<'t> {
+    traffic: &'t TrafficRows,
+    /// `dist[a * 2c + b] = P[a][b]`, `dist[a * 2c + c + b] = P[b][a]`.
+    dist: Vec<u32>,
+    physical_of: Vec<u32>,
+}
+
+impl<'t> SwapPricer<'t> {
+    /// A pricer for the placement `physical_of` (`physical_of[cluster] =
+    /// physical crossbar`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `physical_of` does not cover every cluster or the hop
+    /// table covers fewer crossbars than the placement uses.
+    pub fn new(traffic: &'t TrafficRows, dist: &DistanceLut, physical_of: Vec<u32>) -> Self {
+        let c = traffic.c;
+        assert_eq!(physical_of.len(), c, "placement must cover every cluster");
+        assert!(dist.num_crossbars() >= c, "hop table too small");
+        let mut d = vec![0u32; 2 * c * c];
+        for (a, row) in d.chunks_exact_mut(2 * c).enumerate() {
+            let (out, inc) = row.split_at_mut(c);
+            let pa = physical_of[a];
+            for (b, &pb) in physical_of.iter().enumerate() {
+                out[b] = dist.hops(pa, pb);
+                inc[b] = dist.hops(pb, pa);
+            }
+        }
+        Self {
+            traffic,
+            dist: d,
+            physical_of,
+        }
+    }
+
+    /// The current placement.
+    pub fn physical_of(&self) -> &[u32] {
+        &self.physical_of
+    }
+
+    /// Consumes the pricer, returning its placement.
+    pub fn into_physical_of(self) -> Vec<u32> {
+        self.physical_of
+    }
+
+    /// Exact cost change of exchanging the physical slots of clusters
+    /// `x` and `y` — equal to [`swap_delta`] on the current placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `y` is out of range.
+    pub fn delta(&self, x: usize, y: usize) -> i64 {
+        if x == y {
+            return 0;
+        }
+        let c = self.traffic.c;
+        let (tx, ty) = (self.traffic.row(x), self.traffic.row(y));
+        let (px, py) = (self.dist_row(x), self.dist_row(y));
+        // Σ over k ≠ x, y of (t(x,k) − t(y,k))·(w(π_y,π_k) − w(π_x,π_k))
+        // plus the same over the incoming rows: sum every column, then
+        // take the four columns of x and y back out
+        let term = |j: usize| (tx[j] - ty[j]) * (i64::from(py[j]) - i64::from(px[j]));
+        let mut d: i64 = tx
+            .iter()
+            .zip(ty)
+            .zip(px.iter().zip(py))
+            .map(|((&a, &b), (&p, &q))| (a - b) * (i64::from(q) - i64::from(p)))
+            .sum();
+        d -= term(x) + term(y) + term(c + x) + term(c + y);
+        // cross terms between x and y (zero for symmetric distance tables,
+        // kept for exactness)
+        d + (tx[y] - ty[x]) * (i64::from(py[x]) - i64::from(px[y]))
+    }
+
+    /// Exchanges the physical slots of clusters `x` and `y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `y` is out of range.
+    pub fn apply(&mut self, x: usize, y: usize) {
+        if x == y {
+            return;
+        }
+        let w = 2 * self.traffic.c;
+        let (lo, hi) = (x.min(y), x.max(y));
+        let (head, tail) = self.dist.split_at_mut(hi * w);
+        head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
+        let c = self.traffic.c;
+        for row in self.dist.chunks_exact_mut(w) {
+            row.swap(x, y);
+            row.swap(c + x, c + y);
+        }
+        self.physical_of.swap(x, y);
+    }
+
+    fn dist_row(&self, a: usize) -> &[u32] {
+        let w = 2 * self.traffic.c;
+        &self.dist[a * w..(a + 1) * w]
+    }
 }
 
 /// Placement-optimizer hyperparameters.
@@ -429,16 +589,18 @@ impl PlaceOutcome {
 
 /// One restart: anneal (restarts ≥ 1 only), then greedy first-improvement
 /// sweeps until a sweep makes no progress or the pass budget is spent.
+/// Every swap is priced by a [`SwapPricer`] over the shared `rows`.
 /// Deterministic for a fixed `(traffic, dist, cfg, k)`.
 fn run_restart(
     traffic: &TrafficMatrix,
+    rows: &TrafficRows,
     dist: &DistanceLut,
     cfg: &PlaceConfig,
     k: u32,
 ) -> (u64, Vec<u32>) {
     let c = traffic.c;
-    let mut perm: Vec<u32> = (0..c as u32).collect();
-    let mut cost = placement_cost(traffic, dist, &perm) as i64;
+    let mut pricer = SwapPricer::new(rows, dist, (0..c as u32).collect());
+    let mut cost = placement_cost(traffic, dist, pricer.physical_of()) as i64;
 
     if k > 0 {
         let seed = cfg
@@ -448,20 +610,20 @@ fn run_restart(
         // Fisher–Yates scatter, then anneal
         for a in (1..c).rev() {
             let b = rng.gen_range(0..a + 1);
-            perm.swap(a, b);
+            pricer.apply(a, b);
         }
-        cost = placement_cost(traffic, dist, &perm) as i64;
+        cost = placement_cost(traffic, dist, pricer.physical_of()) as i64;
         let mut temp = cfg.t0;
         for _ in 0..cfg.sa_moves {
             let a = rng.gen_range(0..c);
             let b = rng.gen_range(0..c);
             if a != b {
-                let d = swap_delta(traffic, dist, &perm, a, b);
+                let d = pricer.delta(a, b);
                 let accept = d <= 0 || {
                     temp > f64::EPSILON && rng.gen_range(0.0..1.0) < (-(d as f64) / temp).exp()
                 };
                 if accept {
-                    perm.swap(a, b);
+                    pricer.apply(a, b);
                     cost += d;
                 }
             }
@@ -469,15 +631,14 @@ fn run_restart(
         }
     }
 
-    // greedy polish: first-improvement sweeps over all cluster pairs,
-    // each swap priced incrementally in O(C)
+    // greedy polish: first-improvement sweeps over all cluster pairs
     for _ in 0..cfg.greedy_passes {
         let mut improved = false;
         for a in 0..c {
             for b in a + 1..c {
-                let d = swap_delta(traffic, dist, &perm, a, b);
+                let d = pricer.delta(a, b);
                 if d < 0 {
-                    perm.swap(a, b);
+                    pricer.apply(a, b);
                     cost += d;
                     improved = true;
                 }
@@ -487,6 +648,7 @@ fn run_restart(
             break;
         }
     }
+    let perm = pricer.into_physical_of();
     debug_assert_eq!(cost as u64, placement_cost(traffic, dist, &perm));
     (cost as u64, perm)
 }
@@ -520,6 +682,7 @@ pub fn optimize_placement(
     }
     let identity: Vec<u32> = (0..c as u32).collect();
     let identity_cost = placement_cost(traffic, dist, &identity);
+    let rows = TrafficRows::new(traffic);
 
     // spread restart indices over workers in contiguous chunks (same
     // discipline as the SA baseline); per-restart results depend only on
@@ -555,7 +718,7 @@ pub fn optimize_placement(
         |_, (), idxs: &mut Vec<u32>| {
             idxs.iter()
                 .map(|&k| {
-                    let (cost, perm) = run_restart(traffic, dist, cfg, k);
+                    let (cost, perm) = run_restart(traffic, &rows, dist, cfg, k);
                     (cost, k, perm)
                 })
                 .collect::<Vec<_>>()

@@ -43,9 +43,9 @@ use crate::stats::SchedCounters;
 /// Sentinel pair id for "no upstream pair" (local-injection lanes).
 const NO_PAIR: u32 = u32::MAX;
 
-/// Per-spike multicast-tree routing table: for every spike and every
-/// router on one of its destinations' tree paths, the `(egress port, VC)`
-/// bit that destination's path takes out of the router
+/// Multicast-tree routing table: for every spike and every router on one
+/// of its destinations' tree paths, the `(egress port, VC)` bit that
+/// destination's path takes out of the router
 /// ([`crate::topology::Topology::multicast_route`]).
 ///
 /// Built once per run by `sim::build_tree_table` (only when multicast
@@ -53,31 +53,57 @@ const NO_PAIR: u32 = u32::MAX;
 /// `0..schedule.packets.len()`, each appearing exactly once) and
 /// consumed by both engines, which is what keeps them byte-identical
 /// under tree routing.
+///
+/// Spikes from the same source crossbar to the same destination list
+/// route the same tree, so the table stores one entry slice per
+/// *distinct* tree and maps every spike to its tree's index.
 /// Entries are keyed `(router << 32) | dest_crossbar` and sorted per
-/// spike, so a lookup is a binary search over that spike's slice.
+/// tree, so a lookup is a binary search over that tree's slice.
 #[derive(Debug, Clone)]
 pub(crate) struct TreeTable {
-    /// Per-spike slice bounds into `entries` (`offsets.len()` = spikes + 1).
+    /// Tree index of every spike.
+    tree_of: Vec<u32>,
+    /// Per-tree slice bounds into `entries` (`offsets.len()` = trees + 1).
     offsets: Vec<u32>,
-    /// Sorted `((router << 32) | dest, (port, VC) bit)` entries per spike.
+    /// Sorted `((router << 32) | dest, (port, VC) bit)` entries per tree.
     entries: Vec<(u64, u16)>,
 }
 
 impl TreeTable {
-    /// Assembles the table from per-spike entry lists; each list is
-    /// sorted and deduplicated here (duplicate destinations in a packet
-    /// produce identical entries).
-    pub(crate) fn from_spikes(per_spike: Vec<Vec<(u64, u16)>>) -> Self {
-        let mut offsets = Vec::with_capacity(per_spike.len() + 1);
-        let mut entries = Vec::new();
-        offsets.push(0u32);
-        for mut spike_entries in per_spike {
-            spike_entries.sort_unstable();
-            spike_entries.dedup();
-            entries.extend_from_slice(&spike_entries);
-            offsets.push(entries.len() as u32);
+    /// An empty table for `spikes` spikes, none assigned a tree yet.
+    pub(crate) fn with_spikes(spikes: usize) -> Self {
+        Self {
+            tree_of: vec![u32::MAX; spikes],
+            offsets: vec![0],
+            entries: Vec::new(),
         }
-        Self { offsets, entries }
+    }
+
+    /// Appends one tree from its raw entries (sorted and deduplicated
+    /// here: duplicate destinations produce identical entries) and
+    /// returns its index.
+    pub(crate) fn push_tree(&mut self, raw: &mut Vec<(u64, u16)>) -> u32 {
+        raw.sort_unstable();
+        raw.dedup();
+        self.entries.extend_from_slice(raw);
+        self.offsets.push(self.entries.len() as u32);
+        (self.offsets.len() - 2) as u32
+    }
+
+    /// Routes spike `spike` along tree `tree`.
+    pub(crate) fn assign(&mut self, spike: usize, tree: u32) {
+        debug_assert_eq!(
+            self.tree_of[spike],
+            u32::MAX,
+            "spike {spike} scheduled twice"
+        );
+        self.tree_of[spike] = tree;
+    }
+
+    /// The sorted entry slice of spike `spike`'s tree.
+    pub(crate) fn spike_entries(&self, spike: u64) -> &[(u64, u16)] {
+        let t = self.tree_of[spike as usize] as usize;
+        &self.entries[self.offsets[t] as usize..self.offsets[t + 1] as usize]
     }
 
     /// The `(port, VC)` bit destination `d` of spike `spike` takes out of
@@ -90,8 +116,7 @@ impl TreeTable {
     /// (splits follow the bits, which follow the paths), so a miss means
     /// the table and the simulation disagree.
     pub(crate) fn bit(&self, spike: u64, r: usize, d: u32) -> usize {
-        let s = spike as usize;
-        let slice = &self.entries[self.offsets[s] as usize..self.offsets[s + 1] as usize];
+        let slice = self.spike_entries(spike);
         let key = (r as u64) << 32 | u64::from(d);
         let i = slice
             .binary_search_by_key(&key, |&(k, _)| k)

@@ -83,7 +83,7 @@ use crate::topology::{RouteLut, Topology};
 use crate::trace::{TraceBuf, TraceEvent};
 use crate::traffic::FlowSet;
 use neuromap_hw::energy::EnergyModel;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 pub mod oracle;
 
@@ -451,19 +451,20 @@ pub(crate) fn strip_local(
     kept
 }
 
-/// Builds the per-spike Steiner-tree routing table for a schedule, or
-/// `None` when tree routing is off (unicast clones, or
-/// [`NocConfig::multicast_trees`] unset) — in which case both engines
-/// fall back to the destination-indexed unicast route masks, bit-identical
-/// to the pre-tree behavior.
+/// Builds the Steiner-tree routing table for a schedule, or `None` when
+/// tree routing is off (unicast clones, or [`NocConfig::multicast_trees`]
+/// unset) — in which case both engines fall back to the
+/// destination-indexed unicast route masks, bit-identical to the
+/// pre-tree behavior.
 ///
 /// In multicast mode the schedule carries exactly one packet per spike
 /// with dense `spike_id`s (`0..packets.len()`), so the table is indexed
-/// directly by spike id. Each destination's tree path is walked from the
-/// source router; every hop records `(router, dest) → port * vc_count + vc`
-/// with the port found by position in [`Topology::neighbors`] — tree hops
-/// need not follow the unicast shortest path, so the route LUT cannot be
-/// used here. Shared by both engines so they consume the same trees.
+/// directly by spike id. Packets sharing a source crossbar and a
+/// destination list share a tree: each distinct `(source, destinations)`
+/// key is routed once ([`tree_entries`]) through a per-call map that
+/// borrows the schedule's destination slices, and every spike records
+/// its key's tree index. Shared by both engines so they consume the same
+/// trees.
 pub(crate) fn build_tree_table(
     topo: &dyn Topology,
     config: &NocConfig,
@@ -472,36 +473,58 @@ pub(crate) fn build_tree_table(
     if !(config.multicast && config.multicast_trees) {
         return None;
     }
-    let vcs = config.vc_count;
-    let mut per_spike: Vec<Vec<(u64, u16)>> = vec![Vec::new(); schedule.packets.len()];
+    let mut table = TreeTable::with_spikes(schedule.packets.len());
+    let mut trees: HashMap<(u32, &[u32]), u32> = HashMap::new();
+    let mut raw = Vec::new();
     for p in &schedule.packets {
+        let src = p.head.src_crossbar;
         let dests = &schedule.dests[p.range()];
-        let src_router = topo.endpoint(p.head.src_crossbar);
-        let dest_routers: Vec<usize> = dests.iter().map(|&d| topo.endpoint(d)).collect();
-        let paths = topo.multicast_route(src_router, &dest_routers, vcs);
-        let entries = &mut per_spike[p.head.spike_id as usize];
-        for (path, &d) in paths.iter().zip(dests) {
-            let mut cur = src_router;
-            for &(next, vc) in path {
-                let port = topo
-                    .neighbors(cur)
-                    .iter()
-                    .position(|&n| n == next)
-                    .expect("tree hop must traverse a link of the topology");
-                entries.push((
-                    ((cur as u64) << 32) | u64::from(d),
-                    (port * vcs + vc) as u16,
-                ));
-                cur = next;
-            }
-            debug_assert_eq!(
-                cur,
-                topo.endpoint(d),
-                "tree path must end at the dest router"
-            );
-        }
+        let tree = *trees.entry((src, dests)).or_insert_with(|| {
+            raw.clear();
+            tree_entries(topo, config.vc_count, src, dests, &mut raw);
+            table.push_tree(&mut raw)
+        });
+        table.assign(p.head.spike_id as usize, tree);
     }
-    Some(TreeTable::from_spikes(per_spike))
+    Some(table)
+}
+
+/// Appends the routing entries of one multicast tree to `out`: each
+/// destination's tree path is walked from the source router, and every
+/// hop records `(router, dest) → port * vc_count + vc` with the port
+/// found by position in [`Topology::neighbors`] — tree hops need not
+/// follow the unicast shortest path, so the route LUT cannot be used
+/// here.
+fn tree_entries(
+    topo: &dyn Topology,
+    vcs: usize,
+    src: u32,
+    dests: &[u32],
+    out: &mut Vec<(u64, u16)>,
+) {
+    let src_router = topo.endpoint(src);
+    let dest_routers: Vec<usize> = dests.iter().map(|&d| topo.endpoint(d)).collect();
+    let paths = topo.multicast_route(src_router, &dest_routers, vcs);
+    for (path, &d) in paths.iter().zip(dests) {
+        let mut cur = src_router;
+        for &(next, vc) in path {
+            let port = topo
+                .neighbors(cur)
+                .iter()
+                .position(|&n| n == next)
+                .expect("tree hop must traverse a link of the topology");
+            out.push((
+                ((cur as u64) << 32) | u64::from(d),
+                (port * vcs + vc) as u16,
+            ));
+            cur = next;
+        }
+        debug_assert_eq!(
+            cur,
+            topo.endpoint(d),
+            "tree path must end at the dest router"
+        );
+    }
 }
 
 /// Per-router runtime state.
@@ -1227,6 +1250,75 @@ mod tests {
             .sort_by(|&a, &b| crate::traffic::canonical_cmp(&owned[a], &owned[b]).then(a.cmp(&b)));
         let expect: Vec<u32> = expect.into_iter().map(|i| i as u32).collect();
         assert_eq!(order, expect);
+    }
+
+    /// Flows whose `(source, destination list)` keys repeat across
+    /// neurons and steps, with duplicate destinations inside a list and
+    /// one destination list shared by two sources.
+    fn repeated_tree_flows() -> FlowSet {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m) as u32
+        };
+        let mut keys: Vec<(u32, Vec<u32>)> = (0..11)
+            .map(|_| (next(16), (0..1 + next(6)).map(|_| next(16)).collect()))
+            .collect();
+        // one destination list from a second source
+        keys.push(((keys[0].0 + 5) % 16, keys[0].1.clone()));
+        let mut flows = FlowSet::new();
+        for neuron in 0..300 {
+            let (src, dsts) = &keys[next(keys.len() as u64) as usize];
+            flows.push(neuron, *src, dsts, next(4));
+        }
+        flows
+    }
+
+    #[test]
+    fn memoized_tree_table_matches_per_spike_routing() {
+        let flows = repeated_tree_flows();
+        let topos: Vec<Box<dyn Topology>> = vec![
+            Box::new(Mesh2D::for_crossbars(16)),
+            Box::new(Torus::for_crossbars(16)),
+        ];
+        for topo in topos {
+            for vc_count in [1usize, 2] {
+                let cfg = NocConfig {
+                    multicast: true,
+                    multicast_trees: true,
+                    vc_count,
+                    ..NocConfig::default()
+                };
+                let schedule = build_schedule(topo.as_ref(), &cfg, &flows);
+                let table = build_tree_table(topo.as_ref(), &cfg, &schedule).expect("trees on");
+                let mut trees = std::collections::HashSet::new();
+                for p in &schedule.packets {
+                    // the per-spike build: route this packet on its own
+                    let mut expect = Vec::new();
+                    let dests = &schedule.dests[p.range()];
+                    tree_entries(
+                        topo.as_ref(),
+                        vc_count,
+                        p.head.src_crossbar,
+                        dests,
+                        &mut expect,
+                    );
+                    expect.sort_unstable();
+                    expect.dedup();
+                    let spike = u64::from(p.head.spike_id);
+                    assert_eq!(table.spike_entries(spike), &expect[..]);
+                    for &(key, bit) in &expect {
+                        let (r, d) = ((key >> 32) as usize, key as u32);
+                        assert_eq!(table.bit(spike, r, d), usize::from(bit));
+                    }
+                    trees.insert(table.spike_entries(spike).as_ptr());
+                }
+                // the memo must actually share trees between spikes
+                assert!(trees.len() <= 12 && schedule.packets.len() == 300);
+            }
+        }
     }
 
     #[test]

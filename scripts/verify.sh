@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the lint/bench gates added with the eval-engine
-# PR. Everything runs offline (all dependencies are vendored in ./vendor).
+# Tier-1 verification plus every lint, bench and proptest gate; the CI
+# workflow runs this script as its only step. Everything runs offline
+# (all dependencies are vendored in ./vendor).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +56,7 @@ for ratio in \
   "swarm_eval/synth_16x16grid/CutPackets" \
   "swarm_eval/synth_16x16grid/CutHops" \
   "move/synth_2x400/CutSpikes" \
+  "placement/synth_16x16grid/sweep" \
   "coopt/synth_8x8grid/CutHops" \
   "multilevel/synth_32x32grid/CutSpikes" \
   "hier/synth_4chip16x16/CutSpikes" \

@@ -22,14 +22,16 @@ use neuromap::core::pipeline::{
     TrafficMode,
 };
 use neuromap::core::place::{
-    optimize_placement, placement_cost, swap_delta, PlaceConfig, TrafficMatrix,
+    optimize_placement, placement_cost, swap_delta, PlaceConfig, SwapPricer, TrafficMatrix,
+    TrafficRows,
 };
 use neuromap::core::SpikeGraph;
 use neuromap::hw::arch::{Architecture, InterconnectKind};
 use neuromap::hw::mapping::Mapping;
 use neuromap::noc::sim::NocSim;
-use neuromap::noc::topology::{DistanceLut, Mesh2D, NocTree, Star, Topology, Torus};
+use neuromap::noc::topology::{DistanceLut, HierTopology, Mesh2D, NocTree, Star, Topology, Torus};
 use proptest::prelude::*;
+use proptest::TestCaseResult;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,6 +68,47 @@ fn topology_for(idx: u8, crossbars: usize) -> Box<dyn Topology> {
         InterconnectKind::Tree { arity } => Box::new(NocTree::new(crossbars, arity)),
         InterconnectKind::Star => Box::new(Star::new(crossbars)),
         _ => Box::new(Mesh2D::for_crossbars(crossbars)),
+    }
+}
+
+/// A one-way ring: router `r` links only to `r + 1`, so its hop table
+/// is asymmetric (`hops(a, b) = (b - a) mod n`) — the case where the
+/// swap formulas' cross terms between the two swapped clusters are
+/// non-zero.
+struct DirectedRing {
+    next: Vec<[usize; 1]>,
+}
+
+impl DirectedRing {
+    fn new(n: usize) -> Self {
+        Self {
+            next: (0..n).map(|r| [(r + 1) % n]).collect(),
+        }
+    }
+}
+
+impl Topology for DirectedRing {
+    fn num_routers(&self) -> usize {
+        self.next.len()
+    }
+    fn num_crossbars(&self) -> usize {
+        self.next.len()
+    }
+    fn endpoint(&self, k: u32) -> usize {
+        k as usize
+    }
+    fn neighbors(&self, r: usize) -> &[usize] {
+        &self.next[r]
+    }
+    fn route_next(&self, r: usize, dst: usize) -> usize {
+        if r == dst {
+            r
+        } else {
+            self.next[r][0]
+        }
+    }
+    fn name(&self) -> String {
+        "directed-ring".into()
     }
 }
 
@@ -235,6 +278,67 @@ proptest! {
                 placement_cost(&traffic, &lut, &perm),
                 "swap delta drifted ({})", topo.name()
             );
+        }
+    }
+
+    /// The contiguous-row [`SwapPricer`] must price every swap exactly
+    /// like the reference kernels — [`swap_delta`] and the
+    /// [`placement_cost`] difference — on asymmetric traffic with empty
+    /// rows and counts near 2⁴⁰, over unweighted (mesh, torus),
+    /// weighted (2 × 2-chip hierarchical) and asymmetric (one-way ring)
+    /// hop tables, before and after every applied swap.
+    #[test]
+    fn swap_pricer_matches_reference_kernels(
+        crossbars in 2usize..24,
+        fabric in 0u8..4,
+        seed in 0u64..1000,
+        empty_rows in any::<u32>(),
+        large in any::<bool>(),
+        swaps in proptest::collection::vec((0u16..24, 0u16..24), 1..30),
+    ) {
+        let c = crossbars;
+        let lut = match fabric {
+            0 => DistanceLut::new(&Mesh2D::for_crossbars(c)),
+            1 => DistanceLut::new(&Torus::for_crossbars(c)),
+            2 => HierTopology::for_crossbars(c, 2, 2, 1 + (seed % 4) as u32, 1 + (seed % 3) as u32)
+                .expect("valid fabric")
+                .distance_lut(),
+            _ => DistanceLut::new(&DirectedRing::new(c)),
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max = if large { 1u64 << 40 } else { 40 };
+        let packets: Vec<u64> = (0..c * c)
+            .map(|i| if empty_rows >> (i / c) & 1 == 1 { 0 } else { rng.gen_range(0..max) })
+            .collect();
+        let traffic = TrafficMatrix::from_raw(c, packets);
+        let rows = TrafficRows::new(&traffic);
+        let mut perm: Vec<u32> = (0..c as u32).collect();
+        for a in (1..c).rev() {
+            perm.swap(a, rng.gen_range(0..a + 1));
+        }
+        let mut pricer = SwapPricer::new(&rows, &lut, perm.clone());
+        // every pair touching `x` or `y`, against both reference kernels
+        let check = |pricer: &SwapPricer, x: usize, y: usize| -> TestCaseResult {
+            let perm = pricer.physical_of();
+            let base = placement_cost(&traffic, &lut, perm) as i64;
+            for a in [x, y] {
+                for b in 0..c {
+                    let mut swapped = perm.to_vec();
+                    swapped.swap(a, b);
+                    let expect = placement_cost(&traffic, &lut, &swapped) as i64 - base;
+                    prop_assert_eq!(swap_delta(&traffic, &lut, perm, a, b), expect);
+                    prop_assert_eq!(pricer.delta(a, b), expect, "swap {}<->{}", a, b);
+                }
+            }
+            Ok(())
+        };
+        for &(x, y) in &swaps {
+            let (a, b) = ((x as usize) % c, (y as usize) % c);
+            check(&pricer, a, b)?;
+            pricer.apply(a, b);
+            perm.swap(a, b);
+            prop_assert_eq!(pricer.physical_of(), &perm[..]);
+            check(&pricer, a, b)?;
         }
     }
 
